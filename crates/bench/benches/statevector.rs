@@ -2,14 +2,16 @@
 //! amplitude sweeps vs the old full-scan loops, gate fusion vs unfused
 //! lowering (serial and with threaded sweeps), cumulative-table measurement
 //! sampling vs the per-shot linear scan, the noisy-trajectory fusion grid
-//! (`Off` / `Safe` / `Aggressive`), and the serial-vs-threaded sweep
+//! (`Off` / `Safe` / `Aggressive`), the calibrated-noise trajectory group on
+//! both sides of `FOLD_MIN_QUBITS`, and the serial-vs-threaded sweep
 //! crossover used to calibrate `PARALLEL_SWEEP_MIN_QUBITS`. Headline numbers
 //! are recorded in `BENCH_statevector.json` at the repository root.
 
 use circuit::{Circuit, Operation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use device::DeviceModel;
 use qmath::{Complex, Mat2, Mat4, RngSeed};
-use sim::{FusionPolicy, PrecompiledCircuit, PrecompiledKind, StateVector};
+use sim::{FusionPolicy, NoiseModel, PrecompiledCircuit, PrecompiledKind, StateVector};
 
 const NUM_QUBITS: usize = 20;
 
@@ -198,6 +200,36 @@ fn bench_noisy_trajectory_grid(c: &mut Criterion) {
     group.finish();
 }
 
+/// One noisy trajectory under Aspen-8's calibrated noise (depolarizing plus
+/// T1/T2 relaxation on every op, so every op carries general Kraus channels)
+/// at widths on both sides of `sim::FOLD_MIN_QUBITS`, under `Safe` and
+/// `Aggressive` fusion. The depolarizing-only grid above never leaves the
+/// unitary-mixture fast path; this group is where the folded steps (at and
+/// above the threshold) and the per-channel probe loop (below it) do their
+/// work. Each iteration draws a fresh trajectory seed.
+fn bench_calibrated_trajectory_grid(c: &mut Criterion) {
+    let noise = NoiseModel::from_device(&DeviceModel::aspen8(RngSeed(1)));
+    let mut group = c.benchmark_group("calibrated_trajectory");
+    group.sample_size(40);
+    for n in [4usize, 6, 8, 11, 14] {
+        let circuit = layered_circuit(n, 3);
+        for (label, policy) in [
+            ("safe", FusionPolicy::Safe),
+            ("aggressive", FusionPolicy::Aggressive),
+        ] {
+            let pre = PrecompiledCircuit::with_fusion(&circuit, &noise, policy);
+            group.bench_with_input(BenchmarkId::new(label, n), &pre, |b, pre| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    pre.run_trajectory(&mut RngSeed(seed).rng())
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Serial vs 4-thread sweep at increasing register widths: the crossover
 /// point is what the `EngineBuilder::parallel_sweep_min_qubits` knob (default
 /// `PARALLEL_SWEEP_MIN_QUBITS`) should be calibrated to on a given host.
@@ -225,6 +257,7 @@ criterion_group!(
     bench_trajectory_grid,
     bench_measurement_sampling,
     bench_noisy_trajectory_grid,
+    bench_calibrated_trajectory_grid,
     bench_parallel_threshold_sweep
 );
 criterion_main!(benches);

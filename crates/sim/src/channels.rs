@@ -5,6 +5,25 @@
 //! application with probability `‖K_i|ψ⟩‖²` and renormalizes, which reproduces
 //! the channel exactly in expectation.
 //!
+//! # Sampling a branch without probing the state
+//!
+//! `‖K_i|ψ⟩‖² = Tr(K_i† K_i ρ)`, where `ρ` is the 2×2 or 4×4 reduced density
+//! matrix of the channel's qubits, so a branch can be picked from `ρ` alone.
+//! On registers of at least
+//! [`FOLD_MIN_QUBITS`](crate::precompiled::FOLD_MIN_QUBITS) qubits the
+//! trajectory folds every lowered op and its channels into one step (see
+//! [`crate::precompiled`]): one read pass takes `ρ` of the op's qubits (only
+//! when some channel's probabilities depend on the state), then for each
+//! channel in order one uniform draw picks branch `i` with
+//! `p_i = Tr(K_i†K_i ρ)/Tr ρ` (mixtures by their fixed weights), where
+//! `ρ = M ρ₀ M†` is the read `ρ₀` carried through the kernel `U` and the
+//! branches picked so far, and `M ← A·M` with `A = K_i/√p_i` (`M` starts as
+//! `U`). One amplitude sweep then applies `M`. That is at most two passes
+//! over the amplitudes per op, where probing clones the state, sweeps and
+//! takes a norm for every operator tried. Below the threshold the
+//! per-channel probe loop is cheaper (the small-matrix arithmetic outweighs a
+//! sweep of a few dozen amplitudes) and runs instead.
+//!
 //! Operators are stored as stack-allocated [`SmallMat`]s: a channel is generic
 //! over its qubit dimension (`KrausChannel<2>` for single-qubit channels,
 //! `KrausChannel<4>` for two-qubit ones), so sampling and applying Kraus

@@ -34,8 +34,10 @@
 //! never on how many workers happen to run, and every shard derives its own
 //! ChaCha stream from `(seed, shard_index)` (the [`SeedPolicy::PerShard`]
 //! default) or `(seed, shot_index)` ([`SeedPolicy::PerShot`], which reproduces
-//! the historical single-threaded `NoisySimulator::run` bit for bit). Merged
-//! histograms are sums, so the merge order cannot be observed either.
+//! the historical single-threaded `NoisySimulator::run` bit for bit below
+//! [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits, and to rounding of the
+//! amplitudes from that width on, where trajectories run folded steps).
+//! Merged histograms are sums, so the merge order cannot be observed either.
 //!
 //! # Example
 //!
@@ -129,7 +131,9 @@ pub enum SeedPolicy {
     PerShard,
     /// One ChaCha stream per **shot**, derived from `(seed, shot_index)`.
     /// Reproduces the historical single-threaded `NoisySimulator::run`
-    /// bit for bit; use it when comparing against pre-engine pinned results.
+    /// bit for bit below [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits
+    /// (to rounding of the amplitudes from that width on); use it when
+    /// comparing against pre-engine pinned results.
     PerShot,
 }
 

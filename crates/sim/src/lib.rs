@@ -17,7 +17,10 @@
 //!   per-op `Mat2`/`Mat4` kernels plus prebuilt, completeness-checked Kraus
 //!   channels (instead of rebuilding them every shot), with optional **gate
 //!   fusion** ([`FusionPolicy`]) coalescing adjacent ops into single kernels
-//!   wherever no RNG-consuming channel separates them.
+//!   wherever no RNG-consuming channel separates them. From
+//!   [`FOLD_MIN_QUBITS`] qubits on, each op and its channels run as one
+//!   folded step: Kraus branches are picked from the reduced density matrix
+//!   of the op's qubits instead of by probing clones of the state.
 //! * [`engine`] — the parallel batched-shot [`ExecutionEngine`]: shots are
 //!   sharded across scoped worker threads with per-shard ChaCha streams, so
 //!   counts are bit-identical regardless of thread count.
@@ -89,6 +92,7 @@ pub use engine::{
 pub use noise_model::{NoiseModel, OperationNoise};
 pub use precompiled::{
     AttachedChannel, FusionPolicy, PrecompiledCircuit, PrecompiledKind, PrecompiledOp,
+    FOLD_MIN_QUBITS,
 };
 pub use runner::{Counts, CountsMismatch, IdealSimulator, NoisySimulator};
 pub use statevector::{MeasurementSampler, StateVector, PARALLEL_SWEEP_MIN_QUBITS};

@@ -56,15 +56,54 @@
 //! density-matrix simulator ([`crate::DensityMatrix::evolve`]) consume the
 //! same precompiled (and fused) ops, so the two validation paths cannot drift
 //! apart.
+//!
+//! # Folded trajectory steps
+//!
+//! On registers of at least [`FOLD_MIN_QUBITS`] qubits, trajectories apply
+//! each op as a folded step instead of applying its channels one by one: the
+//! kernel and every following channel on the kernel's qubits make one step.
+//! A step reads the reduced density matrix `ρ` of its qubits once (only when
+//! some channel's branch probabilities depend on the state), picks every
+//! channel's branch from `ρ`, and applies the product of the kernel and the
+//! chosen (renormalized) Kraus operators in one amplitude sweep; see the
+//! [`channels`](crate::channels) module docs for the arithmetic. On a 2q step
+//! a 1q channel picks its branch from the 2×2 reduced density matrix of its
+//! qubit and a reversed-pair channel from `ρ` with the factors swapped; only
+//! the picked operator is lifted to the step's arity (`K ⊗ I`, `I ⊗ K`, or
+//! swapped back). A channel outside the kernel's qubits, or a relaxation
+//! channel on a measurement, starts a step of its own on its own qubits. Steps
+//! are formed while the trajectory runs, from the lowered ops as they are, so
+//! the lowering keeps no second copy of anything. The RNG consumption is
+//! unchanged: one uniform per non-identity channel, in the same order, so the
+//! folded and per-channel loops pick the same branches and agree to rounding
+//! (about 1e-10 on the amplitudes after a few hundred noisy ops). The
+//! per-channel loop renormalizes the state after every Kraus branch; a folded
+//! step scales each branch by `1/√p_i` instead, which keeps the norm at 1 to
+//! rounding.
+
+use std::iter::Peekable;
 
 use circuit::{Circuit, OpKind, QubitId};
-use qmath::{Mat2, Mat4};
+use qmath::{Mat2, Mat4, SmallMat};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::channels::{ArityChannel, Kraus1q, Kraus2q};
+use crate::channels::{ArityChannel, Kraus1q, Kraus2q, KrausChannel, UnitaryMixTerm};
 use crate::noise_model::NoiseModel;
 use crate::statevector::StateVector;
+
+/// Register width, in qubits, from which trajectories run folded steps (see
+/// the [module docs](crate::precompiled)) instead of the per-channel loop.
+/// Each side wins on its own widths: a fold step spends a fixed few hundred
+/// nanoseconds on 2×2/4×4 matrix products, which a narrow register's sweeps
+/// do not repay, while from this width on the amplitude passes it saves cost
+/// more. The value is the crossover of the `calibrated_trajectory` group
+/// in `crates/bench/benches/statevector.rs`: on a 2-vCPU x86-64 VM (Intel
+/// Xeon), pinned to one CPU, medians of three runs, the per-channel loop was
+/// 1.2–1.9× faster at 4 and 5 qubits, the two tied at 6 (within the
+/// run-to-run spread), and the fold was 1.3–1.6× faster at 7 under both
+/// `Safe` and `Aggressive`.
+pub const FOLD_MIN_QUBITS: usize = 7;
 
 /// How aggressively [`PrecompiledCircuit`] coalesces adjacent ops into single
 /// kernels before simulation.
@@ -215,12 +254,25 @@ impl PrecompiledOp {
     /// channel is identity. Fusing a *later* op into such an op cannot disturb
     /// the RNG stream.
     fn consumes_no_rng(&self) -> bool {
-        self.carried.iter().all(|c| c.is_identity())
-            && self.depolarizing.as_ref().is_none_or(|c| c.is_identity())
-            && self
-                .relaxation
-                .iter()
-                .all(|(_, channel)| channel.is_identity())
+        self.channels().all(|channel| channel.is_identity())
+    }
+
+    /// The op's channels in trajectory order: carried, depolarizing, then
+    /// relaxation.
+    fn channels(&self) -> impl Iterator<Item = OpChannel<'_>> {
+        let attached = self
+            .carried
+            .iter()
+            .chain(&self.depolarizing)
+            .map(|channel| match channel {
+                AttachedChannel::One { channel, qubit } => OpChannel::One(channel, *qubit),
+                AttachedChannel::Two { channel, q0, q1 } => OpChannel::Two(channel, *q0, *q1),
+            });
+        let relaxation = self
+            .relaxation
+            .iter()
+            .map(|(q, channel)| OpChannel::One(channel, *q));
+        attached.chain(relaxation)
     }
 }
 
@@ -360,9 +412,11 @@ impl PrecompiledCircuit {
             && self.ops.iter().all(|op| op.consumes_no_rng())
     }
 
-    /// Runs one noisy trajectory from `|0…0⟩` and returns the (normalized)
-    /// final state. Consumes randomness only for the Kraus channels that are
-    /// actually attached.
+    /// Runs one noisy trajectory from `|0…0⟩` and returns the final state.
+    /// Consumes randomness only for the Kraus channels that are actually
+    /// attached. Below [`FOLD_MIN_QUBITS`] qubits the state is renormalized
+    /// after every Kraus branch; from it on, folded steps keep the norm at 1
+    /// to rounding (see the [module docs](crate::precompiled)).
     pub fn run_trajectory<R: Rng + ?Sized>(&self, rng: &mut R) -> StateVector {
         self.run_trajectory_threaded(rng, 1)
     }
@@ -390,37 +444,13 @@ impl PrecompiledCircuit {
         min_parallel_qubits: usize,
     ) -> StateVector {
         let mut state = StateVector::zero_state(self.num_qubits);
-        for op in &self.ops {
-            match &op.kind {
-                PrecompiledKind::Unitary1Q { matrix, qubit } => {
-                    state.apply_one_qubit_with(matrix, *qubit, threads, min_parallel_qubits);
-                }
-                PrecompiledKind::Unitary2Q { matrix, q0, q1 } => {
-                    state.apply_two_qubit_with(matrix, *q0, *q1, threads, min_parallel_qubits);
-                }
-                PrecompiledKind::Silent => {}
+        if self.num_qubits >= FOLD_MIN_QUBITS {
+            for op in &self.ops {
+                apply_folded(op, &mut state, rng, threads, min_parallel_qubits);
             }
-            for carried in &op.carried {
-                match carried {
-                    AttachedChannel::One { channel, qubit } => {
-                        apply_channel_1q(&mut state, channel, *qubit, rng);
-                    }
-                    AttachedChannel::Two { channel, q0, q1 } => {
-                        apply_channel_2q(&mut state, channel, *q0, *q1, rng);
-                    }
-                }
-            }
-            match &op.depolarizing {
-                Some(AttachedChannel::One { channel, qubit }) => {
-                    apply_channel_1q(&mut state, channel, *qubit, rng);
-                }
-                Some(AttachedChannel::Two { channel, q0, q1 }) => {
-                    apply_channel_2q(&mut state, channel, *q0, *q1, rng);
-                }
-                None => {}
-            }
-            for (q, channel) in &op.relaxation {
-                apply_channel_1q(&mut state, channel, *q, rng);
+        } else {
+            for op in &self.ops {
+                apply_op(op, &mut state, rng, threads, min_parallel_qubits);
             }
         }
         state
@@ -429,7 +459,9 @@ impl PrecompiledCircuit {
     /// Runs one complete shot: trajectory, measurement sample, readout error.
     /// Randomness is consumed in the same order as the historical
     /// `NoisySimulator::run` path, so a per-shot seeded RNG reproduces its
-    /// results bit for bit.
+    /// results bit for bit below [`FOLD_MIN_QUBITS`] qubits; from it on,
+    /// folded steps pick the same branches and the amplitudes agree to
+    /// rounding.
     pub fn sample_shot<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.sample_shot_threaded(rng, 1)
     }
@@ -466,6 +498,303 @@ impl PrecompiledCircuit {
         }
         noisy
     }
+}
+
+/// A noise channel of a lowered op, borrowed, with the qubits it acts on.
+#[derive(Debug, Clone, Copy)]
+enum OpChannel<'a> {
+    One(&'a Kraus1q, QubitId),
+    Two(&'a Kraus2q, QubitId, QubitId),
+}
+
+impl<'a> OpChannel<'a> {
+    fn is_identity(&self) -> bool {
+        match self {
+            OpChannel::One(channel, _) => channel.is_identity(),
+            OpChannel::Two(channel, ..) => channel.is_identity(),
+        }
+    }
+
+    /// The channel, when it acts on `qubit` alone.
+    fn on_qubit(self, qubit: QubitId) -> Option<&'a Kraus1q> {
+        match self {
+            OpChannel::One(channel, q) if q == qubit => Some(channel),
+            _ => None,
+        }
+    }
+
+    /// The channel placed on the ordered pair `(q0, q1)`, when its qubits lie
+    /// within it.
+    fn on_pair(self, q0: QubitId, q1: QubitId) -> Option<PairChannel<'a>> {
+        match self {
+            OpChannel::One(channel, q) if q == q0 => Some(PairChannel::First(channel)),
+            OpChannel::One(channel, q) if q == q1 => Some(PairChannel::Second(channel)),
+            OpChannel::Two(channel, a, b) if (a, b) == (q0, q1) => Some(PairChannel::Pair(channel)),
+            OpChannel::Two(channel, a, b) if (a, b) == (q1, q0) => {
+                Some(PairChannel::Reversed(channel))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Applies one lowered op the per-channel way: its kernel, then each channel
+/// in order through [`apply_channel_1q`] / [`apply_channel_2q`].
+fn apply_op<R: Rng + ?Sized>(
+    op: &PrecompiledOp,
+    state: &mut StateVector,
+    rng: &mut R,
+    threads: usize,
+    min_parallel_qubits: usize,
+) {
+    match &op.kind {
+        PrecompiledKind::Unitary1Q { matrix, qubit } => {
+            state.apply_one_qubit_with(matrix, *qubit, threads, min_parallel_qubits);
+        }
+        PrecompiledKind::Unitary2Q { matrix, q0, q1 } => {
+            state.apply_two_qubit_with(matrix, *q0, *q1, threads, min_parallel_qubits);
+        }
+        PrecompiledKind::Silent => {}
+    }
+    for carried in &op.carried {
+        match carried {
+            AttachedChannel::One { channel, qubit } => {
+                apply_channel_1q(state, channel, *qubit, rng);
+            }
+            AttachedChannel::Two { channel, q0, q1 } => {
+                apply_channel_2q(state, channel, *q0, *q1, rng);
+            }
+        }
+    }
+    match &op.depolarizing {
+        Some(AttachedChannel::One { channel, qubit }) => {
+            apply_channel_1q(state, channel, *qubit, rng);
+        }
+        Some(AttachedChannel::Two { channel, q0, q1 }) => {
+            apply_channel_2q(state, channel, *q0, *q1, rng);
+        }
+        None => {}
+    }
+    for (q, channel) in &op.relaxation {
+        apply_channel_1q(state, channel, *q, rng);
+    }
+}
+
+/// Applies one lowered op as folded steps (see the
+/// [module docs](crate::precompiled)): the kernel and the channels that
+/// follow it on its qubits make one step, and each channel elsewhere starts a
+/// step of its own. Draws one uniform per non-identity channel, in the order
+/// of [`apply_op`], so both pick the same branches and agree to rounding.
+fn apply_folded<R: Rng + ?Sized>(
+    op: &PrecompiledOp,
+    state: &mut StateVector,
+    rng: &mut R,
+    threads: usize,
+    min_parallel_qubits: usize,
+) {
+    let mut channels = op.channels().filter(|c| !c.is_identity()).peekable();
+    let sweep = (threads, min_parallel_qubits);
+    match &op.kind {
+        PrecompiledKind::Unitary1Q { matrix, qubit } => {
+            fold_1q(Some(*matrix), *qubit, &mut channels, state, rng, sweep);
+        }
+        PrecompiledKind::Unitary2Q { matrix, q0, q1 } => {
+            fold_2q(Some(*matrix), (*q0, *q1), &mut channels, state, rng, sweep);
+        }
+        PrecompiledKind::Silent => {}
+    }
+    while let Some(&channel) = channels.peek() {
+        match channel {
+            OpChannel::One(_, q) => fold_1q(None, q, &mut channels, state, rng, sweep),
+            OpChannel::Two(_, q0, q1) => fold_2q(None, (q0, q1), &mut channels, state, rng, sweep),
+        }
+    }
+}
+
+/// Runs one folded step on `qubit`: starts from the kernel `u` (`None` for a
+/// step of channels only), folds in the channels at the front of `channels`
+/// that act on `qubit`, and applies the result in one sweep, split as
+/// `(threads, min_parallel_qubits)` say.
+fn fold_1q<'a, R: Rng + ?Sized>(
+    u: Option<Mat2>,
+    qubit: QubitId,
+    channels: &mut Peekable<impl Iterator<Item = OpChannel<'a>>>,
+    state: &mut StateVector,
+    rng: &mut R,
+    (threads, min_parallel_qubits): (usize, usize),
+) {
+    let mut fold = Fold { m: u, rho: None };
+    while let Some(channel) = channels.peek().and_then(|c| c.on_qubit(qubit)) {
+        channels.next();
+        fold.pick(channel, rng, || state.reduced_density_1q(qubit));
+    }
+    if let Some(m) = fold.m {
+        state.apply_one_qubit_with(&m, qubit, threads, min_parallel_qubits);
+    }
+}
+
+/// [`fold_1q`] on the ordered pair `(q0, q1)`.
+fn fold_2q<'a, R: Rng + ?Sized>(
+    u: Option<Mat4>,
+    (q0, q1): (QubitId, QubitId),
+    channels: &mut Peekable<impl Iterator<Item = OpChannel<'a>>>,
+    state: &mut StateVector,
+    rng: &mut R,
+    (threads, min_parallel_qubits): (usize, usize),
+) {
+    let mut fold = Fold { m: u, rho: None };
+    while let Some(channel) = channels.peek().and_then(|c| c.on_pair(q0, q1)) {
+        channels.next();
+        fold.pick(&channel, rng, || state.reduced_density_2q(q0, q1));
+    }
+    if let Some(m) = fold.m {
+        state.apply_two_qubit_with(&m, q0, q1, threads, min_parallel_qubits);
+    }
+}
+
+/// The running matrices of one folded step.
+struct Fold<const N: usize> {
+    /// `M`: the kernel times the branches picked so far; `None` while it is
+    /// the identity.
+    m: Option<SmallMat<N>>,
+    /// `ρ₀`: the reduced density matrix of the step's qubits before the
+    /// step, once read.
+    rho: Option<SmallMat<N>>,
+}
+
+impl<const N: usize> Fold<N> {
+    /// Draws one uniform and folds the branch `channel` picks into `M`,
+    /// giving it the current `ρ = M ρ₀ M†`. `read` returns `ρ₀`; it runs at
+    /// most once per step (the state does not change until the step's
+    /// sweep), at the first channel whose branch probabilities depend on the
+    /// state.
+    fn pick<R: Rng + ?Sized>(
+        &mut self,
+        channel: &impl StepChannel<N>,
+        rng: &mut R,
+        read: impl FnOnce() -> SmallMat<N>,
+    ) {
+        let r: f64 = rng.gen_range(0.0..1.0);
+        let Fold { m, rho } = self;
+        let current = || {
+            let rho = *rho.get_or_insert_with(read);
+            m.map_or(rho, |m| m * rho * m.dagger())
+        };
+        if let Some(a) = channel.branch(r, current) {
+            *m = Some(m.map_or(a, |m| a * m));
+        }
+    }
+}
+
+/// A channel as a folded step applies it: one uniform draw picks a branch,
+/// returned as an operator on the step's qubits.
+trait StepChannel<const N: usize> {
+    /// The branch the uniform draw `r` picks, renormalized, as an `N`×`N`
+    /// operator on the step's qubits; `None` when it leaves the state as it
+    /// is. `rho` returns the reduced density matrix of the step's qubits and
+    /// is only called when the branch probabilities depend on the state.
+    fn branch(&self, r: f64, rho: impl FnOnce() -> SmallMat<N>) -> Option<SmallMat<N>>;
+}
+
+impl<const N: usize> StepChannel<N> for KrausChannel<N> {
+    fn branch(&self, r: f64, rho: impl FnOnce() -> SmallMat<N>) -> Option<SmallMat<N>> {
+        match self.unitary_mix() {
+            Some(mix) => mixture_branch(mix, r).copied(),
+            None => kraus_branch(self, &rho(), r),
+        }
+    }
+}
+
+/// A channel of a two-qubit step, in its own arity and placed on the step's
+/// qubits: only the branch a draw picks is lifted to a 4×4 operator.
+#[derive(Debug, Clone, Copy)]
+enum PairChannel<'a> {
+    /// A 2q channel on the step's qubits, in the step's order.
+    Pair(&'a Kraus2q),
+    /// A 2q channel on the step's qubits, in reversed order.
+    Reversed(&'a Kraus2q),
+    /// A 1q channel on the step's first (most significant) qubit.
+    First(&'a Kraus1q),
+    /// A 1q channel on the step's second qubit.
+    Second(&'a Kraus1q),
+}
+
+impl StepChannel<4> for PairChannel<'_> {
+    fn branch(&self, r: f64, rho: impl FnOnce() -> Mat4) -> Option<Mat4> {
+        let id = Mat2::identity();
+        match self {
+            PairChannel::Pair(channel) => channel.branch(r, rho),
+            PairChannel::Reversed(channel) => channel
+                .branch(r, || swap_tensor_factors(&rho()))
+                .map(|a| swap_tensor_factors(&a)),
+            PairChannel::First(channel) => channel
+                .branch(r, || trace_out(&rho(), 1))
+                .map(|a| a.kron(&id)),
+            PairChannel::Second(channel) => channel
+                .branch(r, || trace_out(&rho(), 0))
+                .map(|a| id.kron(&a)),
+        }
+    }
+}
+
+/// The reduced density matrix of one qubit of a pair: `rho` with tensor
+/// factor `factor` (0 for the first, most significant qubit) traced out.
+fn trace_out(rho: &Mat4, factor: usize) -> Mat2 {
+    let index = |kept: usize, traced: usize| {
+        if factor == 0 {
+            2 * traced + kept
+        } else {
+            2 * kept + traced
+        }
+    };
+    Mat2::from_fn(|j, k| rho[(index(j, 0), index(k, 0))] + rho[(index(j, 1), index(k, 1))])
+}
+
+/// Picks a unitary-mixture branch with the uniform draw `r`: the branch's
+/// unitary, or `None` for the identity branch.
+fn mixture_branch<const N: usize>(mix: &[UnitaryMixTerm<N>], mut r: f64) -> Option<&SmallMat<N>> {
+    let last = mix.len() - 1;
+    for (i, term) in mix.iter().enumerate() {
+        if r < term.weight || i == last {
+            return term.apply.as_ref();
+        }
+        r -= term.weight;
+    }
+    None
+}
+
+/// Picks a Kraus branch with the uniform draw `r` from the reduced density
+/// matrix `rho` of the channel's qubits: branch `i` has probability
+/// `Re Tr(K_i†K_i ρ) / Tr ρ`. Returns `K_i/√p_i`, or `None` when the picked
+/// branch has (numerically) zero probability, which leaves the state as it
+/// was, as the probe loop does.
+fn kraus_branch<const N: usize>(
+    channel: &KrausChannel<N>,
+    rho: &SmallMat<N>,
+    mut r: f64,
+) -> Option<SmallMat<N>> {
+    let trace = rho.trace().re;
+    let last = channel.operators().len() - 1;
+    for (i, k) in channel.operators().iter().enumerate() {
+        let p = trace_of_product(&(k.dagger() * *k), rho) / trace;
+        if r < p || i == last {
+            return (p > 1e-300).then(|| k.scale(1.0 / p.sqrt()));
+        }
+        r -= p;
+    }
+    None
+}
+
+/// `Re Tr(a·b)`, without forming the product.
+fn trace_of_product<const N: usize>(a: &SmallMat<N>, b: &SmallMat<N>) -> f64 {
+    let mut acc = 0.0;
+    for j in 0..N {
+        for k in 0..N {
+            let (x, y) = (a[(j, k)], b[(k, j)]);
+            acc += x.re * y.re - x.im * y.im;
+        }
+    }
+    acc
 }
 
 /// Stack-allocates a 1Q op's matrix. `Operation` construction shape-checks
@@ -875,15 +1204,8 @@ pub(crate) fn apply_channel_1q<R: Rng + ?Sized>(
     }
     let mut r: f64 = rng.gen_range(0.0..1.0);
     if let Some(mix) = channel.unitary_mix() {
-        let last = mix.len() - 1;
-        for (i, term) in mix.iter().enumerate() {
-            if r < term.weight || i == last {
-                if let Some(u) = &term.apply {
-                    state.apply_one_qubit(u, q);
-                }
-                return;
-            }
-            r -= term.weight;
+        if let Some(u) = mixture_branch(mix, r) {
+            state.apply_one_qubit(u, q);
         }
         return;
     }
@@ -917,15 +1239,8 @@ pub(crate) fn apply_channel_2q<R: Rng + ?Sized>(
     }
     let mut r: f64 = rng.gen_range(0.0..1.0);
     if let Some(mix) = channel.unitary_mix() {
-        let last = mix.len() - 1;
-        for (i, term) in mix.iter().enumerate() {
-            if r < term.weight || i == last {
-                if let Some(u) = &term.apply {
-                    state.apply_two_qubit(u, q0, q1);
-                }
-                return;
-            }
-            r -= term.weight;
+        if let Some(u) = mixture_branch(mix, r) {
+            state.apply_two_qubit(u, q0, q1);
         }
         return;
     }
@@ -1098,6 +1413,199 @@ mod tests {
             op.depolarizing,
             Some(AttachedChannel::Two { q0: 0, q1: 1, .. })
         ));
+    }
+
+    /// An RNG that counts the 64-bit words it hands out.
+    struct CountingRng<R> {
+        inner: R,
+        words: usize,
+    }
+
+    impl<R: rand::RngCore> rand::RngCore for CountingRng<R> {
+        fn next_u32(&mut self) -> u32 {
+            self.words += 1;
+            self.inner.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// A layered circuit of at least 300 ops on the first `n` qubits of
+    /// Aspen-8 under its calibrated noise (depolarizing, relaxation and
+    /// readout): random U3 layers between brick layers of CZ, reversed CNOT
+    /// and ZZ, then a measurement of every qubit.
+    fn calibrated_circuit(n: usize) -> (Circuit, NoiseModel) {
+        let mut rng = RngSeed(n as u64).rng();
+        let mut c = Circuit::new(n);
+        let mut layer = 0;
+        while c.len() < 300 {
+            for q in 0..n {
+                let [a, b, l] = [(); 3].map(|()| rng.gen_range(0.0..std::f64::consts::TAU));
+                c.push(Operation::u3(q, a, b, l));
+            }
+            for q in (layer % 2..n - 1).step_by(2) {
+                c.push(match layer % 3 {
+                    0 => Operation::cz(q, q + 1),
+                    1 => Operation::cnot(q + 1, q),
+                    _ => Operation::zz(q, q + 1, 0.4),
+                });
+            }
+            layer += 1;
+        }
+        c.measure_all();
+        let noise = NoiseModel::from_device(&DeviceModel::aspen8(RngSeed(5)));
+        assert!(noise.with_relaxation);
+        (c, noise)
+    }
+
+    #[test]
+    fn folded_steps_match_the_per_channel_loop() {
+        // The same lowered ops through the folded steps and through
+        // apply_channel_1q/2q, with identically seeded RNGs, below and above
+        // the width where trajectories switch between the two.
+        for n in [4, FOLD_MIN_QUBITS + 1] {
+            let (circuit, noise) = calibrated_circuit(n);
+            for policy in [
+                FusionPolicy::Off,
+                FusionPolicy::Safe,
+                FusionPolicy::Aggressive,
+            ] {
+                let pre = PrecompiledCircuit::with_fusion(&circuit, &noise, policy);
+                for seed in 0..3u64 {
+                    let label = format!("n = {n}, {policy:?}, seed {seed}");
+                    let mut per_rng = CountingRng {
+                        inner: RngSeed(seed).rng(),
+                        words: 0,
+                    };
+                    let mut per_channel = StateVector::zero_state(n);
+                    for op in pre.ops() {
+                        apply_op(op, &mut per_channel, &mut per_rng, 1, usize::MAX);
+                    }
+                    let mut fold_rng = CountingRng {
+                        inner: RngSeed(seed).rng(),
+                        words: 0,
+                    };
+                    let mut folded = StateVector::zero_state(n);
+                    for op in pre.ops() {
+                        apply_folded(op, &mut folded, &mut fold_rng, 1, usize::MAX);
+                    }
+                    assert!(
+                        per_rng.words > 0,
+                        "{label}: the circuit draws no randomness"
+                    );
+                    assert_eq!(per_rng.words, fold_rng.words, "{label}: draw counts differ");
+                    for i in 0..1 << n {
+                        let diff = (folded.amplitude(i) - per_channel.amplitude(i)).norm();
+                        assert!(diff < 1e-10, "{label}: amplitude {i} differs by {diff}");
+                    }
+                    let drift = (folded.norm_sqr() - 1.0).abs();
+                    assert!(drift < 1e-10, "{label}: norm drifted by {drift}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trajectories_fold_from_the_threshold_width() {
+        for n in [FOLD_MIN_QUBITS - 1, FOLD_MIN_QUBITS] {
+            let (circuit, noise) = calibrated_circuit(n);
+            let pre = PrecompiledCircuit::with_fusion(&circuit, &noise, FusionPolicy::Safe);
+            let by = |apply: fn(&PrecompiledOp, &mut StateVector, &mut _, usize, usize)| {
+                let mut state = StateVector::zero_state(n);
+                let mut rng = RngSeed(7).rng();
+                for op in pre.ops() {
+                    apply(op, &mut state, &mut rng, 1, usize::MAX);
+                }
+                state
+            };
+            let (folded, per_channel) = (by(apply_folded), by(apply_op));
+            let (expected, other) = if n < FOLD_MIN_QUBITS {
+                (per_channel, folded)
+            } else {
+                (folded, per_channel)
+            };
+            let trajectory = pre.run_trajectory(&mut RngSeed(7).rng());
+            assert_eq!(trajectory, expected, "n = {n}");
+            assert_ne!(trajectory, other, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn kernel_steps_take_the_channels_on_their_qubits() {
+        // Unfused, every channel of a unitary op lies on the kernel's qubits
+        // (CNOT(2, 1)'s as well, in the kernel's order), so each op is one
+        // step; the measurement has no kernel.
+        let (circuit, noise) = calibrated_circuit(3);
+        let pre = PrecompiledCircuit::new(&circuit, &noise);
+        let (measure, unitaries) = pre.ops().split_last().expect("the circuit has ops");
+        for op in unitaries {
+            for channel in op.channels().filter(|c| !c.is_identity()) {
+                let placed = match op.kind {
+                    PrecompiledKind::Unitary1Q { qubit, .. } => channel.on_qubit(qubit).is_some(),
+                    PrecompiledKind::Unitary2Q { q0, q1, .. } => {
+                        matches!(
+                            channel.on_pair(q0, q1),
+                            Some(
+                                PairChannel::Pair(_)
+                                    | PairChannel::First(_)
+                                    | PairChannel::Second(_)
+                            )
+                        )
+                    }
+                    PrecompiledKind::Silent => false,
+                };
+                assert!(placed, "{channel:?} of {:?}", op.kind);
+            }
+        }
+        assert!(matches!(measure.kind, PrecompiledKind::Silent));
+        assert_eq!(measure.channels().count(), 3);
+    }
+
+    #[test]
+    fn pair_steps_place_reversed_and_outside_channels() {
+        // A Kraus2q on the reversed pair joins a (3, 5) step as Reversed; one
+        // on other qubits, or a 1q channel elsewhere, starts a step of its
+        // own.
+        let relax = crate::channels::thermal_relaxation(400.0, 20.0, 15.0);
+        let on_pair = relax.embed_msb();
+        assert!(matches!(
+            OpChannel::Two(&on_pair, 5, 3).on_pair(3, 5),
+            Some(PairChannel::Reversed(_))
+        ));
+        assert!(OpChannel::Two(&on_pair, 3, 4).on_pair(3, 5).is_none());
+        assert!(OpChannel::One(&relax, 4).on_pair(3, 5).is_none());
+        assert!(OpChannel::One(&relax, 4).on_qubit(3).is_none());
+        assert!(OpChannel::Two(&on_pair, 3, 4).on_qubit(3).is_none());
+    }
+
+    #[test]
+    fn lifted_branches_match_restated_channels() {
+        // Picking a branch of a 1q channel from the traced-out ρ and lifting
+        // it equals picking from ρ with the channel embedded, for every draw.
+        let mut state = StateVector::zero_state(2);
+        state.apply_one_qubit(&gates::standard::ry(1.1), 0);
+        state.apply_two_qubit(&gates::standard::cnot(), 0, 1);
+        state.apply_one_qubit(&gates::standard::rx(0.4), 1);
+        let rho = state.reduced_density_2q(0, 1);
+        let relax = crate::channels::thermal_relaxation(3000.0, 20.0, 15.0);
+        let on_pair = relax.embed_msb();
+        let cases = [
+            (PairChannel::First(&relax), relax.embed_msb()),
+            (PairChannel::Second(&relax), relax.embed_lsb()),
+            (PairChannel::Reversed(&on_pair), on_pair.swap_factors()),
+        ];
+        for (placed, restated) in &cases {
+            for r in [0.0, 0.3, 0.9, 0.97, 0.995, 0.9999] {
+                let lifted = placed.branch(r, || rho);
+                let direct = restated.branch(r, || rho);
+                match (lifted, direct) {
+                    (Some(a), Some(b)) => assert!(a.approx_eq(&b, 1e-12), "{placed:?}, r = {r}"),
+                    (a, b) => assert_eq!(a.is_some(), b.is_some(), "{placed:?}, r = {r}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -212,9 +212,12 @@ impl NoisySimulator {
     /// result with [`ExecutionEngine::run_precompiled`]
     /// when the same circuit is executed repeatedly.
     ///
-    /// The lowering is deliberately **unfused** so that
+    /// The lowering is deliberately **unfused** so that, below
+    /// [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits,
     /// [`NoisySimulator::run`]'s bit-exact match with the historical
-    /// single-threaded implementation holds by construction; use
+    /// single-threaded implementation holds by construction (from that width
+    /// on, trajectories run folded steps, which pick the same branches and
+    /// agree with it to rounding); use
     /// [`PrecompiledCircuit::with_fusion`](crate::PrecompiledCircuit::with_fusion)
     /// (or the engine, whose default is [`FusionPolicy::Safe`]) for the fused
     /// lowering — `Safe` fusion leaves counts bit-identical anyway.
@@ -233,7 +236,11 @@ impl NoisySimulator {
     /// loop is sharded across worker threads. The
     /// [`SeedPolicy::PerShot`] stream derivation
     /// keeps the counts **bit-identical** to the historical single-threaded
-    /// implementation for any `(circuit, shots, seed)`.
+    /// implementation for any `(circuit, shots, seed)` on registers below
+    /// [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits. From that width
+    /// on, trajectories run folded steps: they draw the same uniforms and pick
+    /// the same branches, and their amplitudes agree with the historical ones
+    /// to rounding.
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: RngSeed) -> Counts {
         let pre = self.precompile(circuit);
         ExecutionEngine::builder()

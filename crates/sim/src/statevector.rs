@@ -31,11 +31,18 @@
 //! tree** as the scalar `Complex` operators (`(re·re − im·im)` then
 //! left-associated additions), so the restructuring is bit-identical to the
 //! scalar tail that handles run remainders.
+//!
+//! # Read passes
+//!
+//! The folded trajectory steps of [`crate::precompiled`] read the 2×2 / 4×4
+//! reduced density matrix of one or two qubits in one read-only pass over the
+//! same base indices as the sweeps. The pass is serial, so its summation order
+//! and result never depend on the thread count.
 
 use std::ops::Range;
 
 use circuit::QubitId;
-use qmath::{Complex, Mat2, Mat4};
+use qmath::{Complex, Mat2, Mat4, SmallMat};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -216,6 +223,72 @@ fn run_sweep(
             }
         }
     });
+}
+
+/// Running sums `Σ a_j a_k*` over the `N` partner streams of a read pass
+/// (upper triangle, `j ≤ k`), in split real and imaginary parts of `L`
+/// independent lanes each. The one-qubit pass has only three sums, so without
+/// lanes each would be one long serial chain of additions; four lanes break
+/// the chains and vectorize. The two-qubit pass already has ten independent
+/// sums, and lanes there only add register pressure.
+struct Moments<const N: usize, const L: usize> {
+    re: [[[f64; L]; N]; N],
+    im: [[[f64; L]; N]; N],
+}
+
+impl<const N: usize, const L: usize> Default for Moments<N, L> {
+    fn default() -> Self {
+        Moments {
+            re: [[[0.0; L]; N]; N],
+            im: [[[0.0; L]; N]; N],
+        }
+    }
+}
+
+impl<const N: usize, const L: usize> Moments<N, L> {
+    /// Adds `run` consecutive amplitudes of each stream, the streams starting
+    /// at `starts`: whole blocks of `L` positions lane by lane, the remainder
+    /// into lane 0.
+    #[inline(always)]
+    fn add_run(&mut self, amps: &[Complex], starts: [usize; N], run: usize) {
+        let streams = starts.map(|s| &amps[s..s + run]);
+        let mut t = 0;
+        while t + L <= run {
+            for lane in 0..L {
+                self.add(lane, streams.map(|stream| stream[t + lane]));
+            }
+            t += L;
+        }
+        for t in t..run {
+            self.add(0, streams.map(|stream| stream[t]));
+        }
+    }
+
+    /// Adds one position's amplitudes `a` (one per stream) into `lane`.
+    #[inline(always)]
+    fn add(&mut self, lane: usize, a: [Complex; N]) {
+        for j in 0..N {
+            for k in j..N {
+                let (x, y) = (a[j], a[k]);
+                self.re[j][k][lane] += x.re * y.re + x.im * y.im;
+                self.im[j][k][lane] += x.im * y.re - x.re * y.im;
+            }
+        }
+    }
+
+    /// The Hermitian matrix the sums describe (lanes added in lane order).
+    fn into_matrix(self) -> SmallMat<N> {
+        let upper = |j: usize, k: usize| {
+            Complex::new(self.re[j][k].iter().sum(), self.im[j][k].iter().sum())
+        };
+        SmallMat::from_fn(|j, k| {
+            if j <= k {
+                upper(j, k)
+            } else {
+                upper(k, j).conj()
+            }
+        })
+    }
 }
 
 /// A pure state of an `n`-qubit register, stored as `2^n` amplitudes in
@@ -476,6 +549,62 @@ impl StateVector {
             min_parallel_qubits,
             kernel,
         );
+    }
+
+    /// The 2×2 reduced density matrix `ρ_jk = Σ a_j a_k*` of qubit `q` (basis
+    /// `|0⟩, |1⟩`), in one serial read pass over the amplitudes.
+    ///
+    /// # Panics
+    /// Panics if `q` is out of range.
+    pub(crate) fn reduced_density_1q(&self, q: QubitId) -> Mat2 {
+        assert!(q < self.num_qubits, "qubit out of range");
+        let shift = self.num_qubits - 1 - q;
+        let mask = 1usize << shift;
+        let amps = &self.amplitudes[..];
+        let base_count = amps.len() / 2;
+        let mut acc = Moments::<2, 4>::default();
+        // Contiguous runs of base indices, as in the one-qubit sweep.
+        let mut k = 0;
+        while k < base_count {
+            let run = (mask - (k & (mask - 1))).min(base_count - k);
+            let i0 = insert_zero_bit(k, shift);
+            acc.add_run(amps, [i0, i0 | mask], run);
+            k += run;
+        }
+        acc.into_matrix()
+    }
+
+    /// The 4×4 reduced density matrix of the ordered pair `(q0, q1)` (`q0` is
+    /// the most significant qubit, basis `|00⟩, |01⟩, |10⟩, |11⟩`), in one
+    /// serial read pass.
+    ///
+    /// # Panics
+    /// Panics if the qubits are out of range or equal.
+    pub(crate) fn reduced_density_2q(&self, q0: QubitId, q1: QubitId) -> Mat4 {
+        assert!(
+            q0 < self.num_qubits && q1 < self.num_qubits,
+            "qubit out of range"
+        );
+        assert_ne!(q0, q1, "qubits must be distinct");
+        let s0 = self.num_qubits - 1 - q0;
+        let s1 = self.num_qubits - 1 - q1;
+        let (mask0, mask1) = (1usize << s0, 1usize << s1);
+        let (lo, hi) = (s0.min(s1), s0.max(s1));
+        let lo_mask = (1usize << lo) - 1;
+        let amps = &self.amplitudes[..];
+        let base_count = amps.len() / 4;
+        let mut acc = Moments::<4, 1>::default();
+        // Contiguous runs below the lower inserted bit, as in the two-qubit
+        // sweep.
+        let mut k = 0;
+        while k < base_count {
+            let run = ((lo_mask + 1) - (k & lo_mask)).min(base_count - k);
+            let base = insert_zero_bit(insert_zero_bit(k, lo), hi);
+            let streams = [base, base | mask1, base | mask0, base | mask0 | mask1];
+            acc.add_run(amps, streams, run);
+            k += run;
+        }
+        acc.into_matrix()
     }
 
     /// Probability of measuring qubit `q` in state `|1⟩`.
@@ -834,6 +963,49 @@ mod tests {
                 .map(|(_, a)| a.norm_sqr())
                 .sum();
             assert_eq!(s.prob_one(q), full, "q = {q}");
+        }
+    }
+
+    #[test]
+    fn reduced_density_matrices_match_the_partial_trace() {
+        let n = 5;
+        let s = scrambled_state(n);
+        let bit = |i: usize, q: usize| (i >> (n - 1 - q)) & 1;
+        // ρ_jk = Σ over basis pairs that agree off the traced-out qubits.
+        let partial_trace = |qubits: &[usize]| {
+            let dim = 1 << qubits.len();
+            let sub = |i: usize| qubits.iter().fold(0, |acc, &q| (acc << 1) | bit(i, q));
+            let rest = |i: usize| {
+                (0..n)
+                    .filter(|q| !qubits.contains(q))
+                    .fold(0, |acc, q| (acc << 1) | bit(i, q))
+            };
+            let mut rho = vec![Complex::ZERO; dim * dim];
+            for i in 0..1 << n {
+                for j in 0..1 << n {
+                    if rest(i) == rest(j) {
+                        rho[sub(i) * dim + sub(j)] += s.amplitude(i) * s.amplitude(j).conj();
+                    }
+                }
+            }
+            rho
+        };
+        for q in 0..n {
+            let expect = partial_trace(&[q]);
+            let got = s.reduced_density_1q(q);
+            for (idx, e) in expect.iter().enumerate() {
+                assert!((got[(idx / 2, idx % 2)] - *e).norm() < 1e-12, "q = {q}");
+            }
+        }
+        for (q0, q1) in [(0, 1), (3, 1), (4, 0), (2, 3)] {
+            let expect = partial_trace(&[q0, q1]);
+            let got = s.reduced_density_2q(q0, q1);
+            for (idx, e) in expect.iter().enumerate() {
+                assert!(
+                    (got[(idx / 4, idx % 4)] - *e).norm() < 1e-12,
+                    "({q0}, {q1})"
+                );
+            }
         }
     }
 

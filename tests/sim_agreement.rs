@@ -5,7 +5,10 @@
 use circuit::{Circuit, Operation};
 use device::DeviceModel;
 use qmath::RngSeed;
-use sim::{DensityMatrix, NoiseModel, NoisySimulator};
+use sim::{
+    DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel, NoisySimulator, SimJob,
+    FOLD_MIN_QUBITS,
+};
 
 fn bell_plus_rotation() -> Circuit {
     let mut c = Circuit::new(2);
@@ -106,5 +109,68 @@ fn purity_decreases_monotonically_with_error_rate() {
         assert!(dm.purity() <= last_purity + 1e-9, "fidelity {fidelity}");
         assert!((dm.trace() - 1.0).abs() < 1e-9);
         last_purity = dm.purity();
+    }
+}
+
+/// The one-sample concentration bound of `verify::distribution`: with
+/// probability at least `1 − δ`, the empirical distribution of `n` samples
+/// over `dim` outcomes lies within total-variation distance
+/// `½(√(dim/n) + √(2 ln(2/δ)/n))` of the distribution it samples.
+fn one_sample_bound(dim: usize, n: usize, delta: f64) -> f64 {
+    let n = n as f64;
+    0.5 * ((dim as f64 / n).sqrt() + (2.0 * (2.0 / delta).ln() / n).sqrt())
+}
+
+#[test]
+fn folded_trajectories_match_the_density_matrix_above_the_fold_threshold() {
+    // The smallest register on which trajectories run folded steps, under
+    // Aspen-8's calibrated noise: CZ/CNOT depolarizing, T1/T2 relaxation for
+    // every gate and a 2 µs measurement, readout off. Gates sit on the most
+    // significant, middle and least significant qubits, include a reversed
+    // pair, and Aggressive fusion carries channels across them.
+    let n = FOLD_MIN_QUBITS;
+    let mut noise = NoiseModel::from_device(&DeviceModel::aspen8(RngSeed(4)));
+    noise.with_readout_error = false;
+    let mut circuit = Circuit::new(n);
+    circuit.push(Operation::h(0));
+    circuit.push(Operation::cnot(0, 1));
+    circuit.push(Operation::x(n / 2 - 1));
+    circuit.push(Operation::cz(n / 2, n / 2 - 1));
+    circuit.push(Operation::rx(n - 1, 2.2));
+    circuit.push(Operation::measure(vec![0, 1, n / 2 - 1, n / 2, n - 1]));
+    let exact = DensityMatrix::evolve(&circuit, &noise).probabilities();
+
+    let shots = 12_000;
+    let delta = 1e-3;
+    for (fusion, seed) in [(FusionPolicy::Safe, 31), (FusionPolicy::Aggressive, 32)] {
+        let engine = ExecutionEngine::builder()
+            .fusion(fusion)
+            .build()
+            .expect("a default engine with a fusion policy is valid");
+        let counts = engine
+            .run_job(&SimJob::noisy(
+                circuit.clone(),
+                noise.clone(),
+                shots,
+                RngSeed(seed),
+            ))
+            .counts;
+        let empirical: Vec<f64> = (0..1 << n).map(|i| counts.probability(i)).collect();
+        let tv = total_variation(&exact, &empirical);
+        let bound = one_sample_bound(1 << n, shots, delta);
+        assert!(tv <= bound, "{fusion:?}: TVD {tv} above the bound {bound}");
+        // Per-qubit marginals (two outcomes each, union bound over qubits)
+        // give the sharper check.
+        let marginal_bound = one_sample_bound(2, shots, delta / n as f64);
+        for q in 0..n {
+            let mask = 1 << (n - 1 - q);
+            let one =
+                |p: &[f64]| -> f64 { (0..1 << n).filter(|i| i & mask != 0).map(|i| p[i]).sum() };
+            let gap = (one(&exact) - one(&empirical)).abs();
+            assert!(
+                gap <= marginal_bound,
+                "{fusion:?}: qubit {q} marginal off by {gap}, bound {marginal_bound}"
+            );
+        }
     }
 }
