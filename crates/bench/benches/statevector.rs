@@ -3,7 +3,8 @@
 //! lowering (serial and with threaded sweeps), cumulative-table measurement
 //! sampling vs the per-shot linear scan, the noisy-trajectory fusion grid
 //! (`Off` / `Safe` / `Aggressive`), the calibrated-noise trajectory group on
-//! both sides of `FOLD_MIN_QUBITS`, and the serial-vs-threaded sweep
+//! both sides of `FOLD_MIN_QUBITS`, the four amplitude kernels (sweeps and
+//! read passes) on low and high targets, and the serial-vs-threaded sweep
 //! crossover used to calibrate `PARALLEL_SWEEP_MIN_QUBITS`. Headline numbers
 //! are recorded in `BENCH_statevector.json` at the repository root.
 
@@ -230,6 +231,40 @@ fn bench_calibrated_trajectory_grid(c: &mut Criterion) {
     group.finish();
 }
 
+/// The four amplitude kernels on their own: one- and two-qubit sweeps and read
+/// passes at 11, 14 and 20 qubits, each on a low target (the least
+/// significant qubit or pair, whose runs are shorter than a split-complex
+/// block and take the scalar tail) and a high target (the most significant,
+/// all blocks). On CPUs with AVX2 these run the AVX2 instances of the kernels
+/// (see the `sim::statevector` module docs).
+fn bench_sweep_kernels(c: &mut Criterion) {
+    let u = gates::standard::u3(0.7, 0.3, 1.1);
+    let dense = *gates::GateType::syc().unitary() * u.kron(&gates::standard::h());
+    let mut group = c.benchmark_group("sweep_kernels");
+    group.sample_size(10);
+    for n in [11usize, 14, 20] {
+        let state = scrambled_state(n, 1);
+        for (target, q, (q0, q1)) in [("low", n - 1, (n - 2, n - 1)), ("high", 0, (0, 1))] {
+            let id = |kernel: &str| BenchmarkId::new(format!("{kernel}_{target}"), n);
+            group.bench_with_input(id("sweep_1q"), &state, |b, state| {
+                let mut s = state.clone();
+                b.iter(|| s.apply_one_qubit(&u, q));
+            });
+            group.bench_with_input(id("sweep_2q"), &state, |b, state| {
+                let mut s = state.clone();
+                b.iter(|| s.apply_two_qubit(&dense, q0, q1));
+            });
+            group.bench_with_input(id("read_1q"), &state, |b, state| {
+                b.iter(|| state.reduced_density_1q(q));
+            });
+            group.bench_with_input(id("read_2q"), &state, |b, state| {
+                b.iter(|| state.reduced_density_2q(q0, q1));
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Serial vs 4-thread sweep at increasing register widths: the crossover
 /// point is what the `EngineBuilder::parallel_sweep_min_qubits` knob (default
 /// `PARALLEL_SWEEP_MIN_QUBITS`) should be calibrated to on a given host.
@@ -258,6 +293,7 @@ criterion_group!(
     bench_measurement_sampling,
     bench_noisy_trajectory_grid,
     bench_calibrated_trajectory_grid,
+    bench_sweep_kernels,
     bench_parallel_threshold_sweep
 );
 criterion_main!(benches);

@@ -438,7 +438,7 @@ fn render_json(
   }},
   "server_metrics": {metrics},
   "notes": [
-    "The benchmark container exposes a single CPU core (nproc = 1), so the work-stealing pool cannot add parallel speedup here: the server's win over serial_cold comes from persistent per-tenant decomposition caches (every repeated request is a cache hit instead of a cold NuOp decomposition). On multi-core hosts cross-job scheduling stacks on top of that.",
+    "{host_note}",
     "serial_warm is the upper bound for any single-threaded server; on one core the JobServer tracks it to within queueing overhead while adding admission control, tenant isolation and panic isolation.",
     "Server latencies include queueing: the closed-loop driver keeps 2x workers jobs in flight, so on one core p99 reflects time spent waiting behind the window, not service time. jobs/sec is the like-for-like comparison with the serial loops.",
     "The panic probe is injected mid-run via submit_task; its worker prints the standard panic message to stderr and keeps serving."
@@ -455,5 +455,55 @@ fn render_json(
         server = run(served),
         met = speedup > 1.0 && probe_isolated,
         metrics = metrics_indented,
+        host_note = host_note(
+            std::thread::available_parallelism().ok().map(usize::from),
+            config.workers
+        ),
     )
+}
+
+/// The note on what parallelism the server run had, from the CPUs this host
+/// exposes (`None` when unknown) and the configured worker count.
+fn host_note(cpus: Option<usize>, workers: usize) -> String {
+    let cache_win = "persistent per-tenant decomposition caches (every repeated request is a cache hit instead of a cold NuOp decomposition)";
+    let plural = |n: usize| if n == 1 { "" } else { "s" };
+    let ran = format!("the server ran {workers} worker{}", plural(workers));
+    let Some(cpus) = cpus else {
+        return format!(
+            "The host did not report its CPU count and {ran}; its win over serial_cold comes at least from {cache_win}."
+        );
+    };
+    let host = format!(
+        "This host exposes {cpus} CPU{} (std::thread::available_parallelism) and {ran}",
+        plural(cpus)
+    );
+    match cpus.min(workers) {
+        0 | 1 => format!(
+            "{host}, so one job runs at a time and the work-stealing pool cannot add parallel speedup: the server's win over serial_cold comes from {cache_win}."
+        ),
+        parallel => format!(
+            "{host}, so up to {parallel} jobs run at once: the server's win over serial_cold combines {cache_win} with cross-job parallelism, which serial_warm lacks."
+        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::host_note;
+
+    #[test]
+    fn host_note_follows_the_cpus_and_workers() {
+        let one = host_note(Some(1), 4);
+        assert!(one.contains("exposes 1 CPU (") && one.contains("one job runs at a time"));
+        let two = host_note(Some(2), 4);
+        assert!(two.contains("exposes 2 CPUs") && two.contains("up to 2 jobs run at once"));
+        let one_worker = host_note(Some(8), 1);
+        assert!(
+            one_worker.contains("ran 1 worker,") && one_worker.contains("one job runs at a time")
+        );
+        assert!(host_note(None, 4).contains("did not report"));
+        for note in [one, two] {
+            assert!(!note.contains('"') && !note.contains('\\'), "{note}");
+        }
+    }
 }

@@ -11,16 +11,16 @@
 //! matrix of the channel's qubits, so a branch can be picked from `ρ` alone.
 //! On registers of at least
 //! [`FOLD_MIN_QUBITS`](crate::precompiled::FOLD_MIN_QUBITS) qubits the
-//! trajectory folds every lowered op and its channels into one step (see
-//! [`crate::precompiled`]): one read pass takes `ρ` of the op's qubits (only
-//! when some channel's probabilities depend on the state), then for each
-//! channel in order one uniform draw picks branch `i` with
+//! trajectory folds each maximal run of kernels and channels on one qubit
+//! pair into one step (see [`crate::precompiled`]): one read pass takes `ρ₀`
+//! of the pair (only when some channel's probabilities depend on the state),
+//! then for each channel in order one uniform draw picks branch `i` with
 //! `p_i = Tr(K_i†K_i ρ)/Tr ρ` (mixtures by their fixed weights), where
-//! `ρ = M ρ₀ M†` is the read `ρ₀` carried through the kernel `U` and the
-//! branches picked so far, and `M ← A·M` with `A = K_i/√p_i` (`M` starts as
-//! `U`). One amplitude sweep then applies `M`. That is at most two passes
-//! over the amplitudes per op, where probing clones the state, sweeps and
-//! takes a norm for every operator tried. Below the threshold the
+//! `ρ = M ρ₀ M†` is `ρ₀` carried through the kernels and branches folded so
+//! far, and `M ← A·M` with `A = K_i/√p_i` (a kernel `U` folds in as
+//! `M ← U·M`). One amplitude sweep then applies `M`. That is at most two
+//! passes over the amplitudes per run, where probing clones the state,
+//! sweeps and takes a norm for every operator tried. Below the threshold the
 //! per-channel probe loop is cheaper (the small-matrix arithmetic outweighs a
 //! sweep of a few dozen amplitudes) and runs instead.
 //!

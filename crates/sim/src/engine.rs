@@ -36,7 +36,7 @@
 //! default) or `(seed, shot_index)` ([`SeedPolicy::PerShot`], which reproduces
 //! the historical single-threaded `NoisySimulator::run` bit for bit below
 //! [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits, and to rounding of the
-//! amplitudes from that width on, where trajectories run folded steps).
+//! amplitudes from that width on, where trajectories run pair runs).
 //! Merged histograms are sums, so the merge order cannot be observed either.
 //!
 //! # Example

@@ -18,9 +18,10 @@
 //!   channels (instead of rebuilding them every shot), with optional **gate
 //!   fusion** ([`FusionPolicy`]) coalescing adjacent ops into single kernels
 //!   wherever no RNG-consuming channel separates them. From
-//!   [`FOLD_MIN_QUBITS`] qubits on, each op and its channels run as one
-//!   folded step: Kraus branches are picked from the reduced density matrix
-//!   of the op's qubits instead of by probing clones of the state.
+//!   [`FOLD_MIN_QUBITS`] qubits on, each maximal run of kernels and channels
+//!   on one qubit pair folds into one amplitude sweep: Kraus branches are
+//!   picked from the reduced density matrix of the pair instead of by
+//!   probing clones of the state.
 //! * [`engine`] — the parallel batched-shot [`ExecutionEngine`]: shots are
 //!   sharded across scoped worker threads with per-shard ChaCha streams, so
 //!   counts are bit-identical regardless of thread count.

@@ -57,31 +57,42 @@
 //! same precompiled (and fused) ops, so the two validation paths cannot drift
 //! apart.
 //!
-//! # Folded trajectory steps
+//! # Pair runs
 //!
-//! On registers of at least [`FOLD_MIN_QUBITS`] qubits, trajectories apply
-//! each op as a folded step instead of applying its channels one by one: the
-//! kernel and every following channel on the kernel's qubits make one step.
-//! A step reads the reduced density matrix `ρ` of its qubits once (only when
-//! some channel's branch probabilities depend on the state), picks every
-//! channel's branch from `ρ`, and applies the product of the kernel and the
-//! chosen (renormalized) Kraus operators in one amplitude sweep; see the
-//! [`channels`](crate::channels) module docs for the arithmetic. On a 2q step
-//! a 1q channel picks its branch from the 2×2 reduced density matrix of its
-//! qubit and a reversed-pair channel from `ρ` with the factors swapped; only
-//! the picked operator is lifted to the step's arity (`K ⊗ I`, `I ⊗ K`, or
-//! swapped back). A channel outside the kernel's qubits, or a relaxation
-//! channel on a measurement, starts a step of its own on its own qubits. Steps
-//! are formed while the trajectory runs, from the lowered ops as they are, so
-//! the lowering keeps no second copy of anything. The RNG consumption is
-//! unchanged: one uniform per non-identity channel, in the same order, so the
-//! folded and per-channel loops pick the same branches and agree to rounding
-//! (about 1e-10 on the amplitudes after a few hundred noisy ops). The
-//! per-channel loop renormalizes the state after every Kraus branch; a folded
-//! step scales each branch by `1/√p_i` instead, which keeps the norm at 1 to
-//! rounding.
-
-use std::iter::Peekable;
+//! On registers of at least [`FOLD_MIN_QUBITS`] qubits, trajectories fold
+//! whole runs of work into single amplitude sweeps instead of applying each
+//! kernel and channel on its own. A trajectory is a sequence of *items*: each
+//! op's kernel, then each of its non-identity channels, in the order the
+//! per-channel loop applies them. A *pair run* is a maximal stretch of
+//! consecutive items whose qubits fit in one pair (or stay on one qubit);
+//! NuOp's `U3 U3 G U3 U3 G …` output on one pair, with its depolarizing and
+//! relaxation channels, is one run however many ops it spans, and so are the
+//! relaxations a measurement puts on two qubits. Each run is one folded step:
+//!
+//! 1. `M` starts as the identity. Each kernel multiplies in on the left, a
+//!    one-qubit kernel embedded in the pair (`U ⊗ I` or `I ⊗ U`) and a
+//!    kernel on the reversed pair with its tensor factors swapped.
+//! 2. Each channel draws one uniform and picks a branch from
+//!    `ρ = M ρ₀ M†`, where `ρ₀` is the 2×2 / 4×4 reduced density matrix of
+//!    the run's qubits before the run. One read pass takes `ρ₀`, at the first
+//!    channel whose branch probabilities depend on the state, so at most once
+//!    per run; mixtures pick by their fixed weights and need no read. A
+//!    one-qubit channel picks from `ρ` with the other qubit traced out and a
+//!    reversed-pair channel from `ρ` with its factors swapped; only the
+//!    picked operator `K_i/√p_i` is lifted to the pair and multiplied into
+//!    `M`. See the [`channels`](crate::channels) module docs for the
+//!    arithmetic.
+//! 3. One sweep applies `M`.
+//!
+//! Runs are found by a forward scan over the borrowed lowered ops while the
+//! trajectory runs, so the lowering stores no plan and no second copy of
+//! anything. The RNG consumption is unchanged: one uniform per non-identity
+//! channel, in the same order, so the pair runs and the per-channel loop pick
+//! the same branches and agree to rounding (about 1e-10 on the amplitudes
+//! after a few hundred noisy ops). The per-channel loop renormalizes the
+//! state after every Kraus branch; a run scales each branch by `1/√p_i`
+//! instead, which keeps the norm at 1 to rounding. A run of one kernel and
+//! nothing else sweeps exactly that kernel, as the per-channel loop does.
 
 use circuit::{Circuit, OpKind, QubitId};
 use qmath::{Mat2, Mat4, SmallMat};
@@ -92,17 +103,18 @@ use crate::channels::{ArityChannel, Kraus1q, Kraus2q, KrausChannel, UnitaryMixTe
 use crate::noise_model::NoiseModel;
 use crate::statevector::StateVector;
 
-/// Register width, in qubits, from which trajectories run folded steps (see
-/// the [module docs](crate::precompiled)) instead of the per-channel loop.
-/// Each side wins on its own widths: a fold step spends a fixed few hundred
-/// nanoseconds on 2×2/4×4 matrix products, which a narrow register's sweeps
-/// do not repay, while from this width on the amplitude passes it saves cost
-/// more. The value is the crossover of the `calibrated_trajectory` group
-/// in `crates/bench/benches/statevector.rs`: on a 2-vCPU x86-64 VM (Intel
-/// Xeon), pinned to one CPU, medians of three runs, the per-channel loop was
-/// 1.2–1.9× faster at 4 and 5 qubits, the two tied at 6 (within the
-/// run-to-run spread), and the fold was 1.3–1.6× faster at 7 under both
-/// `Safe` and `Aggressive`.
+/// Register width, in qubits, from which trajectories run pair runs (see the
+/// [module docs](crate::precompiled)) instead of the per-channel loop.
+/// Each side wins on its own widths: a pair run spends a few hundred
+/// nanoseconds of 2×2/4×4 matrix products per item, which a narrow
+/// register's sweeps do not repay, while from this width on the amplitude
+/// passes it saves cost more. The value is the crossover of the
+/// `calibrated_trajectory` group in `crates/bench/benches/statevector.rs` on
+/// a 2-vCPU x86-64 VM (Intel Xeon with AVX2), pinned to one CPU, medians of
+/// eight runs: the per-channel loop was 1.4–2.9× faster at 4–6 qubits, the
+/// two tied at 7 under `Safe` (pair runs 1.2× faster under `Aggressive`),
+/// and pair runs were 1.3–1.7× faster at 8. Registers of 6 or fewer qubits
+/// therefore keep the per-channel loop, bit for bit.
 pub const FOLD_MIN_QUBITS: usize = 7;
 
 /// How aggressively [`PrecompiledCircuit`] coalesces adjacent ops into single
@@ -259,7 +271,7 @@ impl PrecompiledOp {
 
     /// The op's channels in trajectory order: carried, depolarizing, then
     /// relaxation.
-    fn channels(&self) -> impl Iterator<Item = OpChannel<'_>> {
+    fn channels(&self) -> impl Iterator<Item = OpChannel<'_>> + Clone {
         let attached = self
             .carried
             .iter()
@@ -273,6 +285,21 @@ impl PrecompiledOp {
             .iter()
             .map(|(q, channel)| OpChannel::One(channel, *q));
         attached.chain(relaxation)
+    }
+
+    /// The op's trajectory items: its kernel, then its non-identity channels
+    /// in trajectory order.
+    fn items(&self) -> impl Iterator<Item = Item<'_>> + Clone {
+        let kernel = match &self.kind {
+            PrecompiledKind::Unitary1Q { matrix, qubit } => Some(Item::Kernel1(matrix, *qubit)),
+            PrecompiledKind::Unitary2Q { matrix, q0, q1 } => Some(Item::Kernel2(matrix, *q0, *q1)),
+            PrecompiledKind::Silent => None,
+        };
+        let channels = self
+            .channels()
+            .filter(|channel| !channel.is_identity())
+            .map(Item::Channel);
+        kernel.into_iter().chain(channels)
     }
 }
 
@@ -415,8 +442,8 @@ impl PrecompiledCircuit {
     /// Runs one noisy trajectory from `|0…0⟩` and returns the final state.
     /// Consumes randomness only for the Kraus channels that are actually
     /// attached. Below [`FOLD_MIN_QUBITS`] qubits the state is renormalized
-    /// after every Kraus branch; from it on, folded steps keep the norm at 1
-    /// to rounding (see the [module docs](crate::precompiled)).
+    /// after every Kraus branch; from it on, pair runs keep the norm at 1 to
+    /// rounding (see the [module docs](crate::precompiled)).
     pub fn run_trajectory<R: Rng + ?Sized>(&self, rng: &mut R) -> StateVector {
         self.run_trajectory_threaded(rng, 1)
     }
@@ -445,9 +472,7 @@ impl PrecompiledCircuit {
     ) -> StateVector {
         let mut state = StateVector::zero_state(self.num_qubits);
         if self.num_qubits >= FOLD_MIN_QUBITS {
-            for op in &self.ops {
-                apply_folded(op, &mut state, rng, threads, min_parallel_qubits);
-            }
+            apply_pair_runs(&self.ops, &mut state, rng, threads, min_parallel_qubits);
         } else {
             for op in &self.ops {
                 apply_op(op, &mut state, rng, threads, min_parallel_qubits);
@@ -460,8 +485,7 @@ impl PrecompiledCircuit {
     /// Randomness is consumed in the same order as the historical
     /// `NoisySimulator::run` path, so a per-shot seeded RNG reproduces its
     /// results bit for bit below [`FOLD_MIN_QUBITS`] qubits; from it on,
-    /// folded steps pick the same branches and the amplitudes agree to
-    /// rounding.
+    /// pair runs pick the same branches and the amplitudes agree to rounding.
     pub fn sample_shot<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.sample_shot_threaded(rng, 1)
     }
@@ -515,25 +539,33 @@ impl<'a> OpChannel<'a> {
         }
     }
 
-    /// The channel, when it acts on `qubit` alone.
-    fn on_qubit(self, qubit: QubitId) -> Option<&'a Kraus1q> {
+    /// The channel placed on the ordered pair `(q0, _)` of a pair run; its
+    /// qubits must lie within the pair.
+    fn in_pair(self, q0: QubitId) -> PairChannel<'a> {
         match self {
-            OpChannel::One(channel, q) if q == qubit => Some(channel),
-            _ => None,
+            OpChannel::One(channel, q) if q == q0 => PairChannel::First(channel),
+            OpChannel::One(channel, _) => PairChannel::Second(channel),
+            OpChannel::Two(channel, a, _) if a == q0 => PairChannel::Pair(channel),
+            OpChannel::Two(channel, ..) => PairChannel::Reversed(channel),
         }
     }
+}
 
-    /// The channel placed on the ordered pair `(q0, q1)`, when its qubits lie
-    /// within it.
-    fn on_pair(self, q0: QubitId, q1: QubitId) -> Option<PairChannel<'a>> {
-        match self {
-            OpChannel::One(channel, q) if q == q0 => Some(PairChannel::First(channel)),
-            OpChannel::One(channel, q) if q == q1 => Some(PairChannel::Second(channel)),
-            OpChannel::Two(channel, a, b) if (a, b) == (q0, q1) => Some(PairChannel::Pair(channel)),
-            OpChannel::Two(channel, a, b) if (a, b) == (q1, q0) => {
-                Some(PairChannel::Reversed(channel))
-            }
-            _ => None,
+/// One item of a trajectory, borrowed from its lowered op: the op's kernel,
+/// or one of its non-identity channels.
+#[derive(Debug, Clone, Copy)]
+enum Item<'a> {
+    Kernel1(&'a Mat2, QubitId),
+    Kernel2(&'a Mat4, QubitId, QubitId),
+    Channel(OpChannel<'a>),
+}
+
+impl Item<'_> {
+    /// The qubits the item acts on.
+    fn qubits(&self) -> (QubitId, Option<QubitId>) {
+        match *self {
+            Item::Kernel1(_, q) | Item::Channel(OpChannel::One(_, q)) => (q, None),
+            Item::Kernel2(_, q0, q1) | Item::Channel(OpChannel::Two(_, q0, q1)) => (q0, Some(q1)),
         }
     }
 }
@@ -580,72 +612,108 @@ fn apply_op<R: Rng + ?Sized>(
     }
 }
 
-/// Applies one lowered op as folded steps (see the
-/// [module docs](crate::precompiled)): the kernel and the channels that
-/// follow it on its qubits make one step, and each channel elsewhere starts a
-/// step of its own. Draws one uniform per non-identity channel, in the order
-/// of [`apply_op`], so both pick the same branches and agree to rounding.
-fn apply_folded<R: Rng + ?Sized>(
-    op: &PrecompiledOp,
+/// The run at the front of `items`: its length in items and its qubits in
+/// the order they first appear (`q1` is `None` for a one-qubit run).
+#[derive(Debug, PartialEq, Eq)]
+struct PairRun {
+    len: usize,
+    q0: QubitId,
+    q1: Option<QubitId>,
+}
+
+/// Finds the maximal run at the front of `items`: the longest prefix whose
+/// qubits fit in one pair. `None` when `items` is empty.
+fn next_run<'a>(mut items: impl Iterator<Item = Item<'a>>) -> Option<PairRun> {
+    let (q0, mut q1) = items.next()?.qubits();
+    let mut len = 1;
+    for item in items {
+        let (a, b) = item.qubits();
+        let mut pair = q1;
+        for q in std::iter::once(a).chain(b) {
+            if q != q0 && Some(q) != pair {
+                if pair.is_some() {
+                    return Some(PairRun { len, q0, q1 });
+                }
+                pair = Some(q);
+            }
+        }
+        q1 = pair;
+        len += 1;
+    }
+    Some(PairRun { len, q0, q1 })
+}
+
+/// Runs the ops' trajectory items as folded pair runs (see the
+/// [module docs](crate::precompiled)): each maximal run of items on one qubit
+/// or one pair becomes one step. Draws one uniform per non-identity channel,
+/// in the order of [`apply_op`], so both pick the same branches and agree to
+/// rounding.
+fn apply_pair_runs<R: Rng + ?Sized>(
+    ops: &[PrecompiledOp],
     state: &mut StateVector,
     rng: &mut R,
     threads: usize,
     min_parallel_qubits: usize,
 ) {
-    let mut channels = op.channels().filter(|c| !c.is_identity()).peekable();
     let sweep = (threads, min_parallel_qubits);
-    match &op.kind {
-        PrecompiledKind::Unitary1Q { matrix, qubit } => {
-            fold_1q(Some(*matrix), *qubit, &mut channels, state, rng, sweep);
-        }
-        PrecompiledKind::Unitary2Q { matrix, q0, q1 } => {
-            fold_2q(Some(*matrix), (*q0, *q1), &mut channels, state, rng, sweep);
-        }
-        PrecompiledKind::Silent => {}
-    }
-    while let Some(&channel) = channels.peek() {
-        match channel {
-            OpChannel::One(_, q) => fold_1q(None, q, &mut channels, state, rng, sweep),
-            OpChannel::Two(_, q0, q1) => fold_2q(None, (q0, q1), &mut channels, state, rng, sweep),
+    let mut items = ops.iter().flat_map(PrecompiledOp::items);
+    while let Some(run) = next_run(items.clone()) {
+        let run_items = items.by_ref().take(run.len);
+        match run.q1 {
+            None => fold_qubit(run_items, run.q0, state, rng, sweep),
+            Some(q1) => fold_pair(run_items, (run.q0, q1), state, rng, sweep),
         }
     }
 }
 
-/// Runs one folded step on `qubit`: starts from the kernel `u` (`None` for a
-/// step of channels only), folds in the channels at the front of `channels`
-/// that act on `qubit`, and applies the result in one sweep, split as
-/// `(threads, min_parallel_qubits)` say.
-fn fold_1q<'a, R: Rng + ?Sized>(
-    u: Option<Mat2>,
+/// Folds a one-qubit run on `qubit` into one step and applies it in one
+/// sweep, split as `(threads, min_parallel_qubits)` say.
+fn fold_qubit<'a, R: Rng + ?Sized>(
+    items: impl Iterator<Item = Item<'a>>,
     qubit: QubitId,
-    channels: &mut Peekable<impl Iterator<Item = OpChannel<'a>>>,
     state: &mut StateVector,
     rng: &mut R,
     (threads, min_parallel_qubits): (usize, usize),
 ) {
-    let mut fold = Fold { m: u, rho: None };
-    while let Some(channel) = channels.peek().and_then(|c| c.on_qubit(qubit)) {
-        channels.next();
-        fold.pick(channel, rng, || state.reduced_density_1q(qubit));
+    let mut fold = Fold::default();
+    for item in items {
+        match item {
+            Item::Kernel1(u, _) => fold.apply(u),
+            Item::Channel(OpChannel::One(channel, _)) => {
+                fold.pick(channel, rng, || state.reduced_density_1q(qubit));
+            }
+            Item::Kernel2(..) | Item::Channel(OpChannel::Two(..)) => {
+                unreachable!("a one-qubit run holds one-qubit items only")
+            }
+        }
     }
     if let Some(m) = fold.m {
         state.apply_one_qubit_with(&m, qubit, threads, min_parallel_qubits);
     }
 }
 
-/// [`fold_1q`] on the ordered pair `(q0, q1)`.
-fn fold_2q<'a, R: Rng + ?Sized>(
-    u: Option<Mat4>,
+/// [`fold_qubit`] for a run on the ordered pair `(q0, q1)`: one-qubit
+/// kernels are embedded in the pair, reversed kernels and channels have their
+/// tensor factors swapped.
+fn fold_pair<'a, R: Rng + ?Sized>(
+    items: impl Iterator<Item = Item<'a>>,
     (q0, q1): (QubitId, QubitId),
-    channels: &mut Peekable<impl Iterator<Item = OpChannel<'a>>>,
     state: &mut StateVector,
     rng: &mut R,
     (threads, min_parallel_qubits): (usize, usize),
 ) {
-    let mut fold = Fold { m: u, rho: None };
-    while let Some(channel) = channels.peek().and_then(|c| c.on_pair(q0, q1)) {
-        channels.next();
-        fold.pick(&channel, rng, || state.reduced_density_2q(q0, q1));
+    let mut fold = Fold::default();
+    for item in items {
+        match item {
+            Item::Kernel1(u, q) => fold.apply(&embed_in_pair(u, q, q0, q1)),
+            Item::Kernel2(u, a, _) if a == q0 => fold.apply(u),
+            Item::Kernel2(u, ..) => fold.apply(&swap_tensor_factors(u)),
+            Item::Channel(channel) => {
+                fold.pick(&channel.in_pair(q0), rng, || {
+                    state.reduced_density_2q(q0, q1)
+                });
+            }
+        }
     }
     if let Some(m) = fold.m {
         state.apply_two_qubit_with(&m, q0, q1, threads, min_parallel_qubits);
@@ -653,9 +721,10 @@ fn fold_2q<'a, R: Rng + ?Sized>(
 }
 
 /// The running matrices of one folded step.
+#[derive(Default)]
 struct Fold<const N: usize> {
-    /// `M`: the kernel times the branches picked so far; `None` while it is
-    /// the identity.
+    /// `M`: the product of the kernels and picked branches so far, latest on
+    /// the left; `None` while it is the identity.
     m: Option<SmallMat<N>>,
     /// `ρ₀`: the reduced density matrix of the step's qubits before the
     /// step, once read.
@@ -663,6 +732,11 @@ struct Fold<const N: usize> {
 }
 
 impl<const N: usize> Fold<N> {
+    /// Folds the kernel `u` into `M` (`M ← u·M`).
+    fn apply(&mut self, u: &SmallMat<N>) {
+        self.m = Some(self.m.map_or(*u, |m| *u * m));
+    }
+
     /// Draws one uniform and folds the branch `channel` picks into `M`,
     /// giving it the current `ρ = M ρ₀ M†`. `read` returns `ρ₀`; it runs at
     /// most once per step (the state does not change until the step's
@@ -1460,12 +1534,73 @@ mod tests {
         (c, noise)
     }
 
+    /// Runs `ops` from `|0…0⟩` through `apply` with a counting RNG seeded
+    /// by `seed`, returning the final state and the words drawn.
+    fn run_ops(
+        ops: &[PrecompiledOp],
+        n: usize,
+        seed: u64,
+        apply: fn(&[PrecompiledOp], &mut StateVector, &mut dyn rand::RngCore),
+    ) -> (StateVector, usize) {
+        let mut rng = CountingRng {
+            inner: RngSeed(seed).rng(),
+            words: 0,
+        };
+        let mut state = StateVector::zero_state(n);
+        apply(ops, &mut state, &mut rng);
+        (state, rng.words)
+    }
+
+    /// The per-channel loop, op by op.
+    fn per_channel(ops: &[PrecompiledOp], state: &mut StateVector, rng: &mut dyn rand::RngCore) {
+        for op in ops {
+            apply_op(op, state, rng, 1, usize::MAX);
+        }
+    }
+
+    /// The pair runs, serial.
+    fn pair_runs(ops: &[PrecompiledOp], state: &mut StateVector, rng: &mut dyn rand::RngCore) {
+        apply_pair_runs(ops, state, rng, 1, usize::MAX);
+    }
+
+    /// Asserts that pair runs and the per-channel loop draw the same words
+    /// and agree to 1e-10 on `ops` for each seed, with the norm within 1e-10
+    /// of 1.
+    fn assert_pair_runs_match(
+        ops: &[PrecompiledOp],
+        n: usize,
+        seeds: std::ops::Range<u64>,
+        label: &str,
+    ) {
+        for seed in seeds {
+            let (expected, expected_words) = run_ops(ops, n, seed, per_channel);
+            let (folded, words) = run_ops(ops, n, seed, pair_runs);
+            assert!(expected_words > 0, "{label}: the ops draw no randomness");
+            assert_eq!(
+                words, expected_words,
+                "{label}, seed {seed}: draw counts differ"
+            );
+            for i in 0..1 << n {
+                let diff = (folded.amplitude(i) - expected.amplitude(i)).norm();
+                assert!(
+                    diff < 1e-10,
+                    "{label}, seed {seed}: amplitude {i} differs by {diff}"
+                );
+            }
+            let drift = (folded.norm_sqr() - 1.0).abs();
+            assert!(
+                drift < 1e-10,
+                "{label}, seed {seed}: norm drifted by {drift}"
+            );
+        }
+    }
+
     #[test]
     fn folded_steps_match_the_per_channel_loop() {
-        // The same lowered ops through the folded steps and through
-        // apply_channel_1q/2q, with identically seeded RNGs, below and above
-        // the width where trajectories switch between the two.
-        for n in [4, FOLD_MIN_QUBITS + 1] {
+        // The same lowered ops through the pair runs and through
+        // apply_channel_1q/2q, with identically seeded RNGs, at the width
+        // where trajectories switch to pair runs and above it.
+        for n in [FOLD_MIN_QUBITS, FOLD_MIN_QUBITS + 2] {
             let (circuit, noise) = calibrated_circuit(n);
             for policy in [
                 FusionPolicy::Off,
@@ -1473,111 +1608,194 @@ mod tests {
                 FusionPolicy::Aggressive,
             ] {
                 let pre = PrecompiledCircuit::with_fusion(&circuit, &noise, policy);
-                for seed in 0..3u64 {
-                    let label = format!("n = {n}, {policy:?}, seed {seed}");
-                    let mut per_rng = CountingRng {
-                        inner: RngSeed(seed).rng(),
-                        words: 0,
-                    };
-                    let mut per_channel = StateVector::zero_state(n);
-                    for op in pre.ops() {
-                        apply_op(op, &mut per_channel, &mut per_rng, 1, usize::MAX);
-                    }
-                    let mut fold_rng = CountingRng {
-                        inner: RngSeed(seed).rng(),
-                        words: 0,
-                    };
-                    let mut folded = StateVector::zero_state(n);
-                    for op in pre.ops() {
-                        apply_folded(op, &mut folded, &mut fold_rng, 1, usize::MAX);
-                    }
-                    assert!(
-                        per_rng.words > 0,
-                        "{label}: the circuit draws no randomness"
-                    );
-                    assert_eq!(per_rng.words, fold_rng.words, "{label}: draw counts differ");
-                    for i in 0..1 << n {
-                        let diff = (folded.amplitude(i) - per_channel.amplitude(i)).norm();
-                        assert!(diff < 1e-10, "{label}: amplitude {i} differs by {diff}");
-                    }
-                    let drift = (folded.norm_sqr() - 1.0).abs();
-                    assert!(drift < 1e-10, "{label}: norm drifted by {drift}");
-                }
+                assert_pair_runs_match(pre.ops(), n, 0..3, &format!("n = {n}, {policy:?}"));
             }
         }
     }
 
+    /// A lowered op with the given kernel and channels.
+    fn op(
+        kind: PrecompiledKind,
+        carried: Vec<AttachedChannel>,
+        relaxation: Vec<(QubitId, Kraus1q)>,
+    ) -> PrecompiledOp {
+        PrecompiledOp {
+            kind,
+            carried,
+            depolarizing: None,
+            relaxation,
+        }
+    }
+
+    /// Hand-built ops on a 7-qubit register: a run on the pair (2, 3) that
+    /// starts with one-qubit ops on both qubits and holds a reversed
+    /// two-qubit kernel, a reversed two-qubit Kraus channel mid-run, identity
+    /// channels and a measurement's relaxations, then runs elsewhere.
+    fn hand_built_ops() -> Vec<PrecompiledOp> {
+        use gates::standard;
+        let relax = crate::channels::thermal_relaxation(3000.0, 20.0, 15.0);
+        let identity = Kraus1q::identity();
+        let u1 = |matrix, qubit| PrecompiledKind::Unitary1Q { matrix, qubit };
+        let u2 = |matrix, q0, q1| PrecompiledKind::Unitary2Q { matrix, q0, q1 };
+        let one = |channel: &Kraus1q, qubit| AttachedChannel::One {
+            channel: channel.clone(),
+            qubit,
+        };
+        let two = |channel: Kraus2q, q0, q1| AttachedChannel::Two { channel, q0, q1 };
+        let dense = *gates::GateType::syc().unitary() * standard::h().kron(&standard::rx(0.8));
+        vec![
+            op(
+                u1(standard::u3(1.1, 0.2, 0.4), 2),
+                vec![],
+                vec![(2, relax.clone())],
+            ),
+            op(
+                u1(standard::ry(2.0), 3),
+                vec![],
+                vec![(3, identity.clone())],
+            ),
+            // The run's pair is (2, 3), so this kernel and the first carried
+            // channel are reversed.
+            op(
+                u2(dense, 3, 2),
+                vec![
+                    two(relax.embed_msb(), 3, 2),
+                    one(&identity, 2),
+                    two(crate::channels::depolarizing_2q(0.2), 2, 3),
+                ],
+                vec![(3, relax.clone()), (2, relax.clone())],
+            ),
+            op(u1(standard::rx(0.7), 3), vec![], vec![(3, relax.clone())]),
+            op(
+                PrecompiledKind::Silent,
+                vec![],
+                vec![(2, relax.clone()), (3, relax.clone()), (5, relax.clone())],
+            ),
+            op(
+                u2(dense, 5, 6),
+                vec![one(&identity, 5)],
+                vec![(6, relax.clone())],
+            ),
+            op(u1(standard::h(), 0), vec![], vec![(0, relax)]),
+        ]
+    }
+
+    #[test]
+    fn hand_built_pair_runs_match_the_per_channel_loop() {
+        let ops = hand_built_ops();
+        let runs = |ops: &[PrecompiledOp]| {
+            let mut items = ops.iter().flat_map(PrecompiledOp::items);
+            std::iter::from_fn(|| {
+                let run = next_run(items.clone())?;
+                items.by_ref().take(run.len).for_each(drop);
+                Some(run)
+            })
+            .collect::<Vec<_>>()
+        };
+        let pair = |len, q0, q1| PairRun { len, q0, q1 };
+        // Identity channels are no items; the measurement's relaxations on 2
+        // and 3 extend the first run and the one on 5 starts the next.
+        assert_eq!(
+            runs(&ops),
+            [pair(12, 2, Some(3)), pair(3, 5, Some(6)), pair(2, 0, None)]
+        );
+        assert_pair_runs_match(&ops, FOLD_MIN_QUBITS, 0..40, "hand-built runs");
+    }
+
     #[test]
     fn trajectories_fold_from_the_threshold_width() {
+        // Below the threshold a trajectory is the per-channel loop bit for
+        // bit; from it on it is the pair runs, which agree with the loop to
+        // rounding.
         for n in [FOLD_MIN_QUBITS - 1, FOLD_MIN_QUBITS] {
             let (circuit, noise) = calibrated_circuit(n);
             let pre = PrecompiledCircuit::with_fusion(&circuit, &noise, FusionPolicy::Safe);
-            let by = |apply: fn(&PrecompiledOp, &mut StateVector, &mut _, usize, usize)| {
-                let mut state = StateVector::zero_state(n);
-                let mut rng = RngSeed(7).rng();
-                for op in pre.ops() {
-                    apply(op, &mut state, &mut rng, 1, usize::MAX);
-                }
-                state
-            };
-            let (folded, per_channel) = (by(apply_folded), by(apply_op));
-            let (expected, other) = if n < FOLD_MIN_QUBITS {
-                (per_channel, folded)
-            } else {
-                (folded, per_channel)
-            };
             let trajectory = pre.run_trajectory(&mut RngSeed(7).rng());
-            assert_eq!(trajectory, expected, "n = {n}");
-            assert_ne!(trajectory, other, "n = {n}");
+            let (per_channel, _) = run_ops(pre.ops(), n, 7, per_channel);
+            if n < FOLD_MIN_QUBITS {
+                assert_eq!(trajectory, per_channel, "n = {n}");
+                continue;
+            }
+            let (folded, _) = run_ops(pre.ops(), n, 7, pair_runs);
+            assert_eq!(trajectory, folded, "n = {n}");
+            for i in 0..1 << n {
+                let diff = (trajectory.amplitude(i) - per_channel.amplitude(i)).norm();
+                assert!(diff < 1e-10, "n = {n}: amplitude {i} differs by {diff}");
+            }
         }
     }
 
     #[test]
     fn kernel_steps_take_the_channels_on_their_qubits() {
         // Unfused, every channel of a unitary op lies on the kernel's qubits
-        // (CNOT(2, 1)'s as well, in the kernel's order), so each op is one
-        // step; the measurement has no kernel.
+        // (CNOT(2, 1)'s as well), so each op's items make one run; the
+        // measurement has no kernel, and its three relaxations, one per
+        // qubit, make a pair run and a one-qubit run.
         let (circuit, noise) = calibrated_circuit(3);
         let pre = PrecompiledCircuit::new(&circuit, &noise);
         let (measure, unitaries) = pre.ops().split_last().expect("the circuit has ops");
         for op in unitaries {
-            for channel in op.channels().filter(|c| !c.is_identity()) {
-                let placed = match op.kind {
-                    PrecompiledKind::Unitary1Q { qubit, .. } => channel.on_qubit(qubit).is_some(),
-                    PrecompiledKind::Unitary2Q { q0, q1, .. } => {
-                        matches!(
-                            channel.on_pair(q0, q1),
-                            Some(
-                                PairChannel::Pair(_)
-                                    | PairChannel::First(_)
-                                    | PairChannel::Second(_)
-                            )
-                        )
-                    }
-                    PrecompiledKind::Silent => false,
-                };
-                assert!(placed, "{channel:?} of {:?}", op.kind);
-            }
+            let run = next_run(op.items()).expect("a unitary op has a kernel");
+            assert_eq!(run.len, op.items().count(), "{:?}", op.kind);
+            let (q0, q1) = kind_qubits(&op.kind).expect("a unitary op has qubits");
+            assert_eq!((run.q0, run.q1), (q0, q1), "{:?}", op.kind);
         }
         assert!(matches!(measure.kind, PrecompiledKind::Silent));
-        assert_eq!(measure.channels().count(), 3);
+        let run = next_run(measure.items()).expect("the measurement relaxes");
+        assert_eq!(
+            run,
+            PairRun {
+                len: 2,
+                q0: 0,
+                q1: Some(1)
+            }
+        );
+        assert_eq!(
+            next_run(measure.items().skip(2)).map(|run| run.len),
+            Some(1)
+        );
     }
 
     #[test]
     fn pair_steps_place_reversed_and_outside_channels() {
-        // A Kraus2q on the reversed pair joins a (3, 5) step as Reversed; one
-        // on other qubits, or a 1q channel elsewhere, starts a step of its
-        // own.
+        // A Kraus2q on the reversed pair joins a (3, 5) run as Reversed and a
+        // 1q channel on 5 as Second; a channel on any other qubit ends the
+        // run and starts one of its own.
         let relax = crate::channels::thermal_relaxation(400.0, 20.0, 15.0);
         let on_pair = relax.embed_msb();
         assert!(matches!(
-            OpChannel::Two(&on_pair, 5, 3).on_pair(3, 5),
-            Some(PairChannel::Reversed(_))
+            OpChannel::Two(&on_pair, 5, 3).in_pair(3),
+            PairChannel::Reversed(_)
         ));
-        assert!(OpChannel::Two(&on_pair, 3, 4).on_pair(3, 5).is_none());
-        assert!(OpChannel::One(&relax, 4).on_pair(3, 5).is_none());
-        assert!(OpChannel::One(&relax, 4).on_qubit(3).is_none());
-        assert!(OpChannel::Two(&on_pair, 3, 4).on_qubit(3).is_none());
+        assert!(matches!(
+            OpChannel::One(&relax, 5).in_pair(3),
+            PairChannel::Second(_)
+        ));
+        let kernel = gates::standard::cnot();
+        let items = [
+            Item::Kernel2(&kernel, 3, 5),
+            Item::Channel(OpChannel::Two(&on_pair, 5, 3)),
+            Item::Channel(OpChannel::One(&relax, 4)),
+            Item::Channel(OpChannel::Two(&on_pair, 3, 4)),
+        ];
+        let run = |from: usize| next_run(items[from..].iter().copied());
+        assert_eq!(
+            run(0),
+            Some(PairRun {
+                len: 2,
+                q0: 3,
+                q1: Some(5)
+            })
+        );
+        assert_eq!(
+            run(2),
+            Some(PairRun {
+                len: 2,
+                q0: 4,
+                q1: Some(3)
+            })
+        );
+        assert_eq!(run(4), None);
     }
 
     #[test]

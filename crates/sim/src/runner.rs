@@ -216,7 +216,7 @@ impl NoisySimulator {
     /// [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits,
     /// [`NoisySimulator::run`]'s bit-exact match with the historical
     /// single-threaded implementation holds by construction (from that width
-    /// on, trajectories run folded steps, which pick the same branches and
+    /// on, trajectories run pair runs, which pick the same branches and
     /// agree with it to rounding); use
     /// [`PrecompiledCircuit::with_fusion`](crate::PrecompiledCircuit::with_fusion)
     /// (or the engine, whose default is [`FusionPolicy::Safe`]) for the fused
@@ -238,7 +238,7 @@ impl NoisySimulator {
     /// keeps the counts **bit-identical** to the historical single-threaded
     /// implementation for any `(circuit, shots, seed)` on registers below
     /// [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits. From that width
-    /// on, trajectories run folded steps: they draw the same uniforms and pick
+    /// on, trajectories run pair runs: they draw the same uniforms and pick
     /// the same branches, and their amplitudes agree with the historical ones
     /// to rounding.
     pub fn run(&self, circuit: &Circuit, shots: usize, seed: RngSeed) -> Counts {

@@ -30,14 +30,34 @@
 //! lanes instead. Every lane evaluates the **same floating-point expression
 //! tree** as the scalar `Complex` operators (`(re·re − im·im)` then
 //! left-associated additions), so the restructuring is bit-identical to the
-//! scalar tail that handles run remainders.
+//! scalar tail that handles run remainders. A run is as long as the stride of
+//! the lowest target bit, so targets on the three least significant qubits
+//! (shifts 0–2) have runs shorter than a block and take the scalar tail only.
+//!
+//! # Instruction-set dispatch
+//!
+//! The workspace builds for the baseline of its target, which on x86-64 has
+//! only 128-bit SSE2 vectors: two doubles per register, so a block's eight
+//! re/im lanes take four registers and four instructions per operation. Each
+//! of the four amplitude kernels (one- and two-qubit sweep, one- and
+//! two-qubit read pass) is therefore written once, as an `#[inline(always)]`
+//! body, and compiled twice: into a `#[target_feature(enable = "avx2")]`
+//! function, where the same loops use 256-bit registers, and into a baseline
+//! function. Every sweep or read pass checks once, through
+//! `is_x86_feature_detected!`, whether the CPU has AVX2 and calls the matching
+//! instance; nothing is configured at build time. The two instances are
+//! **bit-identical**: vectorization only packs independent lanes side by side,
+//! every lane keeps its expression tree and summation order, and Rust never
+//! contracts `a·b + c` into a fused multiply-add (which AVX2 alone does not
+//! offer either). The kernels' unit tests check that bit for bit on every
+//! target of 5-, 9- and 14-qubit registers.
 //!
 //! # Read passes
 //!
-//! The folded trajectory steps of [`crate::precompiled`] read the 2×2 / 4×4
-//! reduced density matrix of one or two qubits in one read-only pass over the
-//! same base indices as the sweeps. The pass is serial, so its summation order
-//! and result never depend on the thread count.
+//! The pair runs of [`crate::precompiled`] read the 2×2 / 4×4 reduced density
+//! matrix of one or two qubits in one read-only pass over the same base
+//! indices as the sweeps. The pass is serial, so its summation order and
+//! result never depend on the thread count.
 
 use std::ops::Range;
 
@@ -52,15 +72,136 @@ use serde::{Deserialize, Serialize};
 /// updated serially regardless of the requested thread count.
 pub const PARALLEL_SWEEP_MIN_QUBITS: usize = 14;
 
-/// Amplitude *pairs* per split-complex block of a one-qubit sweep (16
-/// doubles of input — two AVX-512 registers or four AVX2 registers per
-/// re/im stream, comfortably inside the 16-register x86-64 budget).
+/// Amplitude *pairs* per split-complex block of a one-qubit sweep. Each of
+/// the block's four split input streams (re and im of both partners) holds
+/// eight doubles: two 256-bit registers in the AVX2 instance of the sweep,
+/// four 128-bit ones in the baseline (SSE2) instance (see the module docs on
+/// dispatch).
 pub const LANES_1Q: usize = 8;
 
 /// Amplitude *quadruples* per split-complex block of a two-qubit sweep (the
 /// 4×4 kernel touches four input streams, so half the width of the one-qubit
 /// block keeps the live scratch within the register budget).
 pub const LANES_2Q: usize = 4;
+
+/// The instruction-set level the amplitude kernels run at (see the module
+/// docs on dispatch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The build target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// AVX2. Only [`Isa::detect`] returns it, and only on a CPU that has
+    /// AVX2, which is what makes calling the AVX2 instances sound.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest level this CPU runs.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+
+    /// One-qubit sweep over the base indices `range` (see [`sweep_1q_body`]).
+    ///
+    /// # Safety
+    /// As for [`sweep_1q_body`].
+    unsafe fn sweep_1q(self, amps: *mut Complex, range: Range<usize>, shift: usize, m: &Mat2) {
+        match self {
+            // SAFETY: `Avx2` comes from `detect`, so the CPU has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::sweep_1q(amps, range, shift, m),
+            Isa::Baseline => sweep_1q_body(amps, range, shift, m),
+        }
+    }
+
+    /// Two-qubit sweep over the base indices `range` (see [`sweep_2q_body`]).
+    ///
+    /// # Safety
+    /// As for [`sweep_2q_body`].
+    unsafe fn sweep_2q(
+        self,
+        amps: *mut Complex,
+        range: Range<usize>,
+        shifts: (usize, usize),
+        m: &Mat4,
+    ) {
+        match self {
+            // SAFETY: `Avx2` comes from `detect`, so the CPU has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::sweep_2q(amps, range, shifts, m),
+            Isa::Baseline => sweep_2q_body(amps, range, shifts, m),
+        }
+    }
+
+    /// One-qubit read pass (see [`read_1q_body`]).
+    fn read_1q(self, amps: &[Complex], shift: usize) -> Mat2 {
+        match self {
+            // SAFETY: `Avx2` comes from `detect`, so the CPU has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { avx2::read_1q(amps, shift) },
+            Isa::Baseline => read_1q_body(amps, shift),
+        }
+    }
+
+    /// Two-qubit read pass (see [`read_2q_body`]).
+    fn read_2q(self, amps: &[Complex], shifts: (usize, usize)) -> Mat4 {
+        match self {
+            // SAFETY: `Avx2` comes from `detect`, so the CPU has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { avx2::read_2q(amps, shifts) },
+            Isa::Baseline => read_2q_body(amps, shifts),
+        }
+    }
+}
+
+/// The AVX2 instances of the four kernel bodies: the same code as the
+/// baseline instances, compiled with 256-bit vectors. Named functions that
+/// call the bodies directly, so the bodies inline into, and are widened with,
+/// the target feature.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Complex, Mat2, Mat4, Range};
+
+    /// # Safety
+    /// The CPU must have AVX2, and the arguments must meet
+    /// [`super::sweep_1q_body`]'s contract.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sweep_1q(amps: *mut Complex, range: Range<usize>, shift: usize, m: &Mat2) {
+        super::sweep_1q_body(amps, range, shift, m);
+    }
+
+    /// # Safety
+    /// The CPU must have AVX2, and the arguments must meet
+    /// [`super::sweep_2q_body`]'s contract.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sweep_2q(
+        amps: *mut Complex,
+        range: Range<usize>,
+        shifts: (usize, usize),
+        m: &Mat4,
+    ) {
+        super::sweep_2q_body(amps, range, shifts, m);
+    }
+
+    /// # Safety
+    /// The CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn read_1q(amps: &[Complex], shift: usize) -> Mat2 {
+        super::read_1q_body(amps, shift)
+    }
+
+    /// # Safety
+    /// The CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn read_2q(amps: &[Complex], shifts: (usize, usize)) -> Mat4 {
+        super::read_2q_body(amps, shifts)
+    }
+}
 
 /// One split-complex block of a one-qubit sweep: applies the 2×2 kernel
 /// `[[m00, m01], [m10, m11]]` to the [`LANES_1Q`] amplitude pairs starting at
@@ -291,6 +432,142 @@ impl<const N: usize, const L: usize> Moments<N, L> {
     }
 }
 
+/// Kernel body of a one-qubit sweep: applies the 2×2 kernel `m` to the
+/// amplitude pairs of the base indices `range`, the target bit at `shift`.
+/// Compiled once per instruction-set level (see the module docs).
+///
+/// # Safety
+/// `amps` must point at the amplitudes of a register with more than `shift`
+/// qubits, `range` must lie within its `2^(n-1)` base indices, and no
+/// other thread may touch the pairs of `range` during the call.
+#[inline(always)]
+unsafe fn sweep_1q_body(amps: *mut Complex, range: Range<usize>, shift: usize, m: &Mat2) {
+    let mask = 1usize << shift;
+    let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
+    // Walk the range in contiguous runs: base indices whose low bits (below
+    // `shift`) increment without carrying map to consecutive amplitude
+    // indices, so both partner streams are straight pointer walks
+    // (`(i0 + o) | mask == (i0 | mask) + o` while `o` stays inside the run).
+    let mut k = range.start;
+    while k < range.end {
+        let run = (mask - (k & (mask - 1))).min(range.end - k);
+        let i0 = insert_zero_bit(k, shift);
+        let pa = amps.add(i0);
+        let pb = amps.add(i0 | mask);
+        let mut o = 0usize;
+        while o + LANES_1Q <= run {
+            one_qubit_block(pa.add(o), pb.add(o), m00, m01, m10, m11);
+            o += LANES_1Q;
+        }
+        // Scalar tail for the run remainder (identical arithmetic to the
+        // block — see the module docs).
+        for t in o..run {
+            let a0 = *pa.add(t);
+            let a1 = *pb.add(t);
+            *pa.add(t) = m00 * a0 + m01 * a1;
+            *pb.add(t) = m10 * a0 + m11 * a1;
+        }
+        k += run;
+    }
+}
+
+/// Kernel body of a two-qubit sweep: applies the 4×4 kernel `m` to the
+/// amplitude quadruples of the base indices `range`, the kernel's first
+/// (most significant) qubit at bit `s0` and its second at bit `s1`.
+///
+/// # Safety
+/// `amps` must point at the amplitudes of a register with more than
+/// `max(s0, s1)` qubits, `s0 != s1`, `range` must lie within its `2^(n-2)`
+/// base indices, and no other thread may touch the quadruples of `range`
+/// during the call.
+#[inline(always)]
+unsafe fn sweep_2q_body(
+    amps: *mut Complex,
+    range: Range<usize>,
+    (s0, s1): (usize, usize),
+    m: &Mat4,
+) {
+    let (mask0, mask1) = (1usize << s0, 1usize << s1);
+    let (lo, hi) = (s0.min(s1), s0.max(s1));
+    let lo_mask = (1usize << lo) - 1;
+    // Walk the range in contiguous runs below the lower inserted bit (see
+    // the one-qubit body): within a run the four amplitude indices advance
+    // by one each step, so all four partner streams are straight pointer
+    // walks.
+    let mut k = range.start;
+    while k < range.end {
+        let run = ((lo_mask + 1) - (k & lo_mask)).min(range.end - k);
+        // Insert zeros at the lower shift first, then at the higher one
+        // (whose position is unchanged by the first insertion).
+        let base = insert_zero_bit(insert_zero_bit(k, lo), hi);
+        let p = [
+            amps.add(base),
+            amps.add(base | mask1),
+            amps.add(base | mask0),
+            amps.add(base | mask0 | mask1),
+        ];
+        let mut o = 0usize;
+        while o + LANES_2Q <= run {
+            two_qubit_block([p[0].add(o), p[1].add(o), p[2].add(o), p[3].add(o)], m);
+            o += LANES_2Q;
+        }
+        // Scalar tail for the run remainder (identical arithmetic to the
+        // block — see the module docs).
+        for t in o..run {
+            let a0 = *p[0].add(t);
+            let a1 = *p[1].add(t);
+            let a2 = *p[2].add(t);
+            let a3 = *p[3].add(t);
+            *p[0].add(t) = m[(0, 0)] * a0 + m[(0, 1)] * a1 + m[(0, 2)] * a2 + m[(0, 3)] * a3;
+            *p[1].add(t) = m[(1, 0)] * a0 + m[(1, 1)] * a1 + m[(1, 2)] * a2 + m[(1, 3)] * a3;
+            *p[2].add(t) = m[(2, 0)] * a0 + m[(2, 1)] * a1 + m[(2, 2)] * a2 + m[(2, 3)] * a3;
+            *p[3].add(t) = m[(3, 0)] * a0 + m[(3, 1)] * a1 + m[(3, 2)] * a2 + m[(3, 3)] * a3;
+        }
+        k += run;
+    }
+}
+
+/// Kernel body of a one-qubit read pass: the 2×2 reduced density matrix
+/// `ρ_jk = Σ a_j a_k*` of the qubit at bit `shift` (basis `|0⟩, |1⟩`).
+#[inline(always)]
+fn read_1q_body(amps: &[Complex], shift: usize) -> Mat2 {
+    let mask = 1usize << shift;
+    let base_count = amps.len() / 2;
+    let mut acc = Moments::<2, 4>::default();
+    // Contiguous runs of base indices, as in the one-qubit sweep.
+    let mut k = 0;
+    while k < base_count {
+        let run = (mask - (k & (mask - 1))).min(base_count - k);
+        let i0 = insert_zero_bit(k, shift);
+        acc.add_run(amps, [i0, i0 | mask], run);
+        k += run;
+    }
+    acc.into_matrix()
+}
+
+/// Kernel body of a two-qubit read pass: the 4×4 reduced density matrix of
+/// the qubits at bits `s0` (most significant) and `s1`, basis
+/// `|00⟩, |01⟩, |10⟩, |11⟩`.
+#[inline(always)]
+fn read_2q_body(amps: &[Complex], (s0, s1): (usize, usize)) -> Mat4 {
+    let (mask0, mask1) = (1usize << s0, 1usize << s1);
+    let (lo, hi) = (s0.min(s1), s0.max(s1));
+    let lo_mask = (1usize << lo) - 1;
+    let base_count = amps.len() / 4;
+    let mut acc = Moments::<4, 1>::default();
+    // Contiguous runs below the lower inserted bit, as in the two-qubit
+    // sweep.
+    let mut k = 0;
+    while k < base_count {
+        let run = ((lo_mask + 1) - (k & lo_mask)).min(base_count - k);
+        let base = insert_zero_bit(insert_zero_bit(k, lo), hi);
+        let streams = [base, base | mask1, base | mask0, base | mask0 | mask1];
+        acc.add_run(amps, streams, run);
+        k += run;
+    }
+    acc.into_matrix()
+}
+
 /// A pure state of an `n`-qubit register, stored as `2^n` amplitudes in
 /// big-endian basis ordering (qubit 0 is the most significant bit).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -404,44 +681,30 @@ impl StateVector {
         threads: usize,
         min_parallel_qubits: usize,
     ) {
+        self.apply_one_qubit_on(Isa::detect(), m, q, threads, min_parallel_qubits);
+    }
+
+    /// [`apply_one_qubit_with`](StateVector::apply_one_qubit_with) through
+    /// the kernel instance for `isa`.
+    fn apply_one_qubit_on(
+        &mut self,
+        isa: Isa,
+        m: &Mat2,
+        q: QubitId,
+        threads: usize,
+        min_parallel_qubits: usize,
+    ) {
         assert!(q < self.num_qubits, "qubit out of range");
         let shift = self.num_qubits - 1 - q;
-        let mask = 1usize << shift;
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
+        let m = *m;
         let half = self.amplitudes.len() / 2;
         let cursor = AmpCursor(self.amplitudes.as_mut_ptr());
         let kernel = move |range: Range<usize>| {
-            let amps = cursor.ptr();
-            // Walk the range in contiguous runs: base indices whose low bits
-            // (below `shift`) increment without carrying map to consecutive
-            // amplitude indices, so both partner streams are straight pointer
-            // walks (`(i0 + o) | mask == (i0 | mask) + o` while `o` stays
-            // inside the run).
-            let mut k = range.start;
-            while k < range.end {
-                let run = (mask - (k & (mask - 1))).min(range.end - k);
-                let i0 = insert_zero_bit(k, shift);
-                // SAFETY: distinct base indices map to distinct (i, j) pairs
-                // and workers own disjoint base-index ranges (see AmpCursor).
-                unsafe {
-                    let pa = amps.add(i0);
-                    let pb = amps.add(i0 | mask);
-                    let mut o = 0usize;
-                    while o + LANES_1Q <= run {
-                        one_qubit_block(pa.add(o), pb.add(o), m00, m01, m10, m11);
-                        o += LANES_1Q;
-                    }
-                    // Scalar tail for the run remainder (identical arithmetic
-                    // to the block — see the module docs).
-                    for t in o..run {
-                        let a0 = *pa.add(t);
-                        let a1 = *pb.add(t);
-                        *pa.add(t) = m00 * a0 + m01 * a1;
-                        *pb.add(t) = m10 * a0 + m11 * a1;
-                    }
-                }
-                k += run;
-            }
+            // SAFETY: `shift` names a qubit of the register, `run_sweep` hands
+            // out sub-ranges of the base indices, distinct base indices map to
+            // distinct amplitude pairs, and workers own disjoint ranges (see
+            // AmpCursor).
+            unsafe { isa.sweep_1q(cursor.ptr(), range, shift, &m) }
         };
         run_sweep(half, self.num_qubits, threads, min_parallel_qubits, kernel);
     }
@@ -481,66 +744,30 @@ impl StateVector {
         threads: usize,
         min_parallel_qubits: usize,
     ) {
-        assert!(
-            q0 < self.num_qubits && q1 < self.num_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(q0, q1, "qubits must be distinct");
-        let s0 = self.num_qubits - 1 - q0;
-        let s1 = self.num_qubits - 1 - q1;
-        let mask0 = 1usize << s0;
-        let mask1 = 1usize << s1;
-        let (lo, hi) = (s0.min(s1), s0.max(s1));
+        self.apply_two_qubit_on(Isa::detect(), m, q0, q1, threads, min_parallel_qubits);
+    }
+
+    /// [`apply_two_qubit_with`](StateVector::apply_two_qubit_with) through
+    /// the kernel instance for `isa`.
+    fn apply_two_qubit_on(
+        &mut self,
+        isa: Isa,
+        m: &Mat4,
+        q0: QubitId,
+        q1: QubitId,
+        threads: usize,
+        min_parallel_qubits: usize,
+    ) {
+        let shifts = self.pair_shifts(q0, q1);
         let m = *m;
         let quarter = self.amplitudes.len() / 4;
         let cursor = AmpCursor(self.amplitudes.as_mut_ptr());
-        let lo_mask = (1usize << lo) - 1;
         let kernel = move |range: Range<usize>| {
-            let amps = cursor.ptr();
-            // Walk the range in contiguous runs below the lower inserted bit
-            // (see the one-qubit kernel): within a run the four amplitude
-            // indices advance by one each step.
-            let mut k = range.start;
-            while k < range.end {
-                let run = ((lo_mask + 1) - (k & lo_mask)).min(range.end - k);
-                // Insert zeros at the lower shift first, then at the higher
-                // one (whose position is unchanged by the first insertion).
-                let base = insert_zero_bit(insert_zero_bit(k, lo), hi);
-                // SAFETY: distinct base indices map to distinct index
-                // quadruples and workers own disjoint base-index ranges (see
-                // AmpCursor). Within a run all four partner streams advance
-                // by one per step, so they are straight pointer walks.
-                unsafe {
-                    let p = [
-                        amps.add(base),
-                        amps.add(base | mask1),
-                        amps.add(base | mask0),
-                        amps.add(base | mask0 | mask1),
-                    ];
-                    let mut o = 0usize;
-                    while o + LANES_2Q <= run {
-                        two_qubit_block([p[0].add(o), p[1].add(o), p[2].add(o), p[3].add(o)], &m);
-                        o += LANES_2Q;
-                    }
-                    // Scalar tail for the run remainder (identical arithmetic
-                    // to the block — see the module docs).
-                    for t in o..run {
-                        let a0 = *p[0].add(t);
-                        let a1 = *p[1].add(t);
-                        let a2 = *p[2].add(t);
-                        let a3 = *p[3].add(t);
-                        *p[0].add(t) =
-                            m[(0, 0)] * a0 + m[(0, 1)] * a1 + m[(0, 2)] * a2 + m[(0, 3)] * a3;
-                        *p[1].add(t) =
-                            m[(1, 0)] * a0 + m[(1, 1)] * a1 + m[(1, 2)] * a2 + m[(1, 3)] * a3;
-                        *p[2].add(t) =
-                            m[(2, 0)] * a0 + m[(2, 1)] * a1 + m[(2, 2)] * a2 + m[(2, 3)] * a3;
-                        *p[3].add(t) =
-                            m[(3, 0)] * a0 + m[(3, 1)] * a1 + m[(3, 2)] * a2 + m[(3, 3)] * a3;
-                    }
-                }
-                k += run;
-            }
+            // SAFETY: the shifts name two distinct qubits of the register,
+            // `run_sweep` hands out sub-ranges of the base indices, distinct
+            // base indices map to distinct amplitude quadruples, and workers
+            // own disjoint ranges (see AmpCursor).
+            unsafe { isa.sweep_2q(cursor.ptr(), range, shifts, &m) }
         };
         run_sweep(
             quarter,
@@ -551,27 +778,33 @@ impl StateVector {
         );
     }
 
+    /// The bit positions `(s0, s1)` of the ordered qubit pair `(q0, q1)`.
+    ///
+    /// # Panics
+    /// Panics if the qubits are out of range or equal.
+    fn pair_shifts(&self, q0: QubitId, q1: QubitId) -> (usize, usize) {
+        assert!(
+            q0 < self.num_qubits && q1 < self.num_qubits,
+            "qubit out of range"
+        );
+        assert_ne!(q0, q1, "qubits must be distinct");
+        (self.num_qubits - 1 - q0, self.num_qubits - 1 - q1)
+    }
+
     /// The 2×2 reduced density matrix `ρ_jk = Σ a_j a_k*` of qubit `q` (basis
     /// `|0⟩, |1⟩`), in one serial read pass over the amplitudes.
     ///
     /// # Panics
     /// Panics if `q` is out of range.
-    pub(crate) fn reduced_density_1q(&self, q: QubitId) -> Mat2 {
+    pub fn reduced_density_1q(&self, q: QubitId) -> Mat2 {
+        self.reduced_density_1q_on(Isa::detect(), q)
+    }
+
+    /// [`reduced_density_1q`](StateVector::reduced_density_1q) through the
+    /// kernel instance for `isa`.
+    fn reduced_density_1q_on(&self, isa: Isa, q: QubitId) -> Mat2 {
         assert!(q < self.num_qubits, "qubit out of range");
-        let shift = self.num_qubits - 1 - q;
-        let mask = 1usize << shift;
-        let amps = &self.amplitudes[..];
-        let base_count = amps.len() / 2;
-        let mut acc = Moments::<2, 4>::default();
-        // Contiguous runs of base indices, as in the one-qubit sweep.
-        let mut k = 0;
-        while k < base_count {
-            let run = (mask - (k & (mask - 1))).min(base_count - k);
-            let i0 = insert_zero_bit(k, shift);
-            acc.add_run(amps, [i0, i0 | mask], run);
-            k += run;
-        }
-        acc.into_matrix()
+        isa.read_1q(&self.amplitudes, self.num_qubits - 1 - q)
     }
 
     /// The 4×4 reduced density matrix of the ordered pair `(q0, q1)` (`q0` is
@@ -580,31 +813,14 @@ impl StateVector {
     ///
     /// # Panics
     /// Panics if the qubits are out of range or equal.
-    pub(crate) fn reduced_density_2q(&self, q0: QubitId, q1: QubitId) -> Mat4 {
-        assert!(
-            q0 < self.num_qubits && q1 < self.num_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(q0, q1, "qubits must be distinct");
-        let s0 = self.num_qubits - 1 - q0;
-        let s1 = self.num_qubits - 1 - q1;
-        let (mask0, mask1) = (1usize << s0, 1usize << s1);
-        let (lo, hi) = (s0.min(s1), s0.max(s1));
-        let lo_mask = (1usize << lo) - 1;
-        let amps = &self.amplitudes[..];
-        let base_count = amps.len() / 4;
-        let mut acc = Moments::<4, 1>::default();
-        // Contiguous runs below the lower inserted bit, as in the two-qubit
-        // sweep.
-        let mut k = 0;
-        while k < base_count {
-            let run = ((lo_mask + 1) - (k & lo_mask)).min(base_count - k);
-            let base = insert_zero_bit(insert_zero_bit(k, lo), hi);
-            let streams = [base, base | mask1, base | mask0, base | mask0 | mask1];
-            acc.add_run(amps, streams, run);
-            k += run;
-        }
-        acc.into_matrix()
+    pub fn reduced_density_2q(&self, q0: QubitId, q1: QubitId) -> Mat4 {
+        self.reduced_density_2q_on(Isa::detect(), q0, q1)
+    }
+
+    /// [`reduced_density_2q`](StateVector::reduced_density_2q) through the
+    /// kernel instance for `isa`.
+    fn reduced_density_2q_on(&self, isa: Isa, q0: QubitId, q1: QubitId) -> Mat4 {
+        isa.read_2q(&self.amplitudes, self.pair_shifts(q0, q1))
     }
 
     /// Probability of measuring qubit `q` in state `|1⟩`.
@@ -869,6 +1085,63 @@ mod tests {
             s.apply_two_qubit(&standard::cnot(), q - 1, q);
         }
         s
+    }
+
+    /// The bit patterns of complex entries, so `-0.0` and `0.0` differ.
+    fn bits(entries: impl IntoIterator<Item = Complex>) -> Vec<(u64, u64)> {
+        entries
+            .into_iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    fn mat_bits<const N: usize>(m: &SmallMat<N>) -> Vec<(u64, u64)> {
+        bits((0..N * N).map(|i| m[(i / N, i % N)]))
+    }
+
+    #[test]
+    fn avx2_and_baseline_kernels_are_bit_identical() {
+        // Every target and every ordered pair, so shifts 0-2 (runs shorter
+        // than a block: the scalar tail only) are covered along with the
+        // block loops of the higher shifts.
+        let wide = Isa::detect();
+        if wide == Isa::Baseline {
+            eprintln!("no AVX2 on this CPU: only the baseline kernels run here");
+            return;
+        }
+        let u = standard::u3(0.7, 0.3, 1.1);
+        let v = standard::u3(1.9, -0.4, 0.6);
+        let dense = *gates::GateType::syc().unitary() * u.kron(&v);
+        for n in [5, 9, 14] {
+            let base = scrambled_state(n);
+            for q in 0..n {
+                let sweep = |isa| {
+                    let mut s = base.clone();
+                    s.apply_one_qubit_on(isa, &u, q, 1, usize::MAX);
+                    bits(s.amplitudes().iter().copied())
+                };
+                assert_eq!(
+                    sweep(Isa::Baseline),
+                    sweep(wide),
+                    "1q sweep, n = {n}, q = {q}"
+                );
+                let read = |isa| mat_bits(&base.reduced_density_1q_on(isa, q));
+                assert_eq!(read(Isa::Baseline), read(wide), "1q read, n = {n}, q = {q}");
+            }
+            for q0 in 0..n {
+                for q1 in (0..n).filter(|&q1| q1 != q0) {
+                    let sweep = |isa| {
+                        let mut s = base.clone();
+                        s.apply_two_qubit_on(isa, &dense, q0, q1, 1, usize::MAX);
+                        bits(s.amplitudes().iter().copied())
+                    };
+                    let label = format!("n = {n}, ({q0}, {q1})");
+                    assert_eq!(sweep(Isa::Baseline), sweep(wide), "2q sweep, {label}");
+                    let read = |isa| mat_bits(&base.reduced_density_2q_on(isa, q0, q1));
+                    assert_eq!(read(Isa::Baseline), read(wide), "2q read, {label}");
+                }
+            }
+        }
     }
 
     #[test]
