@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for the NuOp decomposition pass and its
 //! ablations (exact vs approximate, layer growth, noise-adaptive selection,
-//! KAK baseline).
+//! KAK baseline), plus the cold per-miss cost of a Rigetti-set compile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gates::GateType;
+use gates::{GateType, InstructionSet};
 use nuop_core::{
     decompose_approx, decompose_continuous, decompose_fixed, decompose_with_gate_choice,
     DecomposeConfig, HardwareGate,
@@ -114,12 +114,35 @@ fn bench_continuous_family(c: &mut Criterion) {
     group.finish();
 }
 
+/// One cold cache miss of a Fig. 9 compile on a Rigetti set: a Haar target
+/// decomposed with each of R4's five types (S2–S6) and the best kept. The
+/// fidelities are Aspen-8-like: CZ and XY(π) as on the Fig. 3 ring, the other
+/// XY(θ) types within the 95–99 % of paper §VI.
+fn bench_rigetti_miss(c: &mut Criterion) {
+    let mut rng = RngSeed(6).rng();
+    let target = haar_random_su4(&mut rng);
+    let fidelities = [0.97, 0.94, 0.95, 0.96, 0.98];
+    let candidates: Vec<HardwareGate> = InstructionSet::r(4)
+        .gate_types()
+        .iter()
+        .zip(fidelities)
+        .map(|(gate, fidelity)| HardwareGate::new(gate.clone(), fidelity))
+        .collect();
+    let mut group = c.benchmark_group("rigetti_miss");
+    group.sample_size(10);
+    group.bench_function("r4_gate_choice", |b| {
+        b.iter(|| decompose_with_gate_choice(&target, &candidates, &sweep_config()));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fig6_nuop_vs_cirq,
     bench_approx_vs_exact,
     bench_nuop_layers,
     bench_noise_adaptive,
-    bench_continuous_family
+    bench_continuous_family,
+    bench_rigetti_miss
 );
 criterion_main!(benches);

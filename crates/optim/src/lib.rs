@@ -4,22 +4,30 @@
 //! method" (via SciPy) to tune the single-qubit rotation angles of a template
 //! circuit. This crate provides that substrate:
 //!
-//! * [`bfgs`] — BFGS quasi-Newton minimization with a strong-Wolfe line search
-//!   and central-difference gradients.
-//! * [`nelder_mead`] — a derivative-free simplex fallback used to sanity-check
-//!   BFGS results in tests and as a recovery path for pathological starts.
-//! * [`multistart`] — restarts an optimizer from several random initial points
-//!   and keeps the best result; gate-decomposition landscapes are non-convex,
-//!   so restarts are what make the pass robust.
+//! * [`bfgs`] — BFGS quasi-Newton minimization steered by a caller-supplied
+//!   analytic gradient, with a strong-Wolfe line search and an inverse-Hessian
+//!   update done in place on one flat buffer.
+//! * [`multistart`] — restarts BFGS from several random initial points and
+//!   keeps the best result; gate-decomposition landscapes are non-convex, so
+//!   restarts are what make the pass robust.
+//!
+//! [`numerical_gradient`] is the central-difference oracle that analytic
+//! gradients are tested against.
 //!
 //! # Example
 //!
 //! ```
-//! use optim::{minimize_bfgs, BfgsOptions};
+//! use optim::{minimize_bfgs_with_grad, BfgsOptions};
 //!
 //! // Rosenbrock function: minimum 0 at (1, 1).
 //! let rosen = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-//! let result = minimize_bfgs(&rosen, &[-1.2, 1.0], &BfgsOptions::default());
+//! let grad = |x: &[f64]| {
+//!     vec![
+//!         -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
+//!         200.0 * (x[1] - x[0] * x[0]),
+//!     ]
+//! };
+//! let result = minimize_bfgs_with_grad(&rosen, &grad, &[-1.2, 1.0], &BfgsOptions::default());
 //! assert!(result.value < 1e-8);
 //! assert!((result.x[0] - 1.0).abs() < 1e-3);
 //! ```
@@ -28,16 +36,14 @@
 
 pub mod bfgs;
 pub mod multistart;
-pub mod nelder_mead;
 
-pub use bfgs::{minimize_bfgs, minimize_bfgs_with_grad, BfgsOptions, OptimResult};
-pub use multistart::{multistart_minimize, multistart_minimize_with_grad, MultistartOptions};
-pub use nelder_mead::{minimize_nelder_mead, NelderMeadOptions};
+pub use bfgs::{minimize_bfgs_with_grad, BfgsOptions, OptimResult};
+pub use multistart::{multistart_minimize_with_grad, MultistartOptions};
 
 /// Central-difference numerical gradient of `f` at `x` with step `h`.
 ///
-/// Used by BFGS when no analytic gradient is supplied; `h = 1e-6` is a good
-/// default for the smooth trigonometric objectives of gate decomposition.
+/// The reference that analytic gradients are tested against; `h = 1e-6` is a
+/// good default for the smooth trigonometric objectives of gate decomposition.
 pub fn numerical_gradient<F>(f: &F, x: &[f64], h: f64) -> Vec<f64>
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
