@@ -4,13 +4,17 @@
 //! sampling vs the per-shot linear scan, the noisy-trajectory fusion grid
 //! (`Off` / `Safe` / `Aggressive`), the calibrated-noise trajectory group on
 //! both sides of `FOLD_MIN_QUBITS`, the four amplitude kernels (sweeps and
-//! read passes) on low and high targets, and the serial-vs-threaded sweep
-//! crossover used to calibrate `PARALLEL_SWEEP_MIN_QUBITS`. Headline numbers
-//! are recorded in `BENCH_statevector.json` at the repository root.
+//! read passes) on low and high targets, `Safe` and `Aggressive` lowering of
+//! NuOp-compiled QAOA circuits, and the serial-vs-threaded sweep crossover
+//! used to calibrate `PARALLEL_SWEEP_MIN_QUBITS`. Headline numbers are
+//! recorded in `BENCH_statevector.json` at the repository root.
 
+use apps::workloads::qaoa_circuit;
 use circuit::{Circuit, Operation};
+use compiler::{Compiler, CompilerOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::DeviceModel;
+use gates::InstructionSet;
 use qmath::{Complex, Mat2, Mat4, RngSeed};
 use sim::{FusionPolicy, NoiseModel, PrecompiledCircuit, PrecompiledKind, StateVector};
 
@@ -265,6 +269,42 @@ fn bench_sweep_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Lowering alone: `PrecompiledCircuit::with_fusion` under `Safe` and
+/// `Aggressive` on 11- and 14-qubit QAOA circuits compiled for Aspen-8 under
+/// S3 with the sweep options, the shape of the circuits the `sim_wide`
+/// workload of `perfbench/` runs. Calibrated noise sits on every op, so
+/// `Safe` fuses nothing and only lowers, while `Aggressive` carries the
+/// channels of every absorbed op across the kernels it fuses into, then
+/// conjugates and composes them.
+fn bench_lowering(c: &mut Criterion) {
+    let compiler = Compiler::for_device(DeviceModel::aspen8(RngSeed(1)))
+        .instruction_set(InstructionSet::s(3))
+        .options(CompilerOptions::sweep())
+        .build()
+        .expect("S3 is a valid instruction set");
+    let mut group = c.benchmark_group("lowering");
+    group.sample_size(20);
+    for n in [11usize, 14] {
+        let compiled = compiler
+            .compile(&qaoa_circuit(n, RngSeed(1)))
+            .expect("QAOA circuits up to 20 qubits fit Aspen-8");
+        let noise = NoiseModel::from_device(&compiled.subdevice);
+        for (label, policy) in [
+            ("safe", FusionPolicy::Safe),
+            ("aggressive", FusionPolicy::Aggressive),
+        ] {
+            group.bench_with_input(
+                BenchmarkId::new(label, n),
+                &compiled.circuit,
+                |b, circuit| {
+                    b.iter(|| PrecompiledCircuit::with_fusion(circuit, &noise, policy));
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 /// Serial vs 4-thread sweep at increasing register widths: the crossover
 /// point is what the `EngineBuilder::parallel_sweep_min_qubits` knob (default
 /// `PARALLEL_SWEEP_MIN_QUBITS`) should be calibrated to on a given host.
@@ -294,6 +334,7 @@ criterion_group!(
     bench_noisy_trajectory_grid,
     bench_calibrated_trajectory_grid,
     bench_sweep_kernels,
+    bench_lowering,
     bench_parallel_threshold_sweep
 );
 criterion_main!(benches);

@@ -438,10 +438,7 @@ fn render_json(
   }},
   "server_metrics": {metrics},
   "notes": [
-    "{host_note}",
-    "serial_warm is the upper bound for any single-threaded server; on one core the JobServer tracks it to within queueing overhead while adding admission control, tenant isolation and panic isolation.",
-    "Server latencies include queueing: the closed-loop driver keeps 2x workers jobs in flight, so on one core p99 reflects time spent waiting behind the window, not service time. jobs/sec is the like-for-like comparison with the serial loops.",
-    "The panic probe is injected mid-run via submit_task; its worker prints the standard panic message to stderr and keeps serving."
+    {notes}
   ]
 }}
 "#,
@@ -455,11 +452,37 @@ fn render_json(
         server = run(served),
         met = speedup > 1.0 && probe_isolated,
         metrics = metrics_indented,
-        host_note = host_note(
+        notes = notes(
             std::thread::available_parallelism().ok().map(usize::from),
             config.workers
-        ),
+        )
+        .map(|note| format!("\"{note}\""))
+        .join(",\n    "),
     )
+}
+
+/// The report's notes, from the CPUs this host exposes (`None` when unknown)
+/// and the configured worker count: the [`host_note`], what serial_warm and
+/// the server's latencies mean at that parallelism, and the panic probe.
+fn notes(cpus: Option<usize>, workers: usize) -> [String; 4] {
+    let one_at_a_time = cpus.map_or(workers, |cpus| cpus.min(workers)) <= 1;
+    let (warm, latency) = if one_at_a_time {
+        (
+            "on one core the JobServer tracks it to within queueing overhead",
+            "so on one core p99 reflects time spent waiting behind the window, not service time",
+        )
+    } else {
+        (
+            "running jobs in parallel, the JobServer can exceed it",
+            "so p99 adds the time spent waiting behind the window to the service time",
+        )
+    };
+    [
+        host_note(cpus, workers),
+        format!("serial_warm is the upper bound for any single-threaded server; {warm} while adding admission control, tenant isolation and panic isolation."),
+        format!("Server latencies include queueing: the closed-loop driver keeps 2x workers jobs in flight, {latency}. jobs/sec is the like-for-like comparison with the serial loops."),
+        "The panic probe is injected mid-run via submit_task; its worker prints the standard panic message to stderr and keeps serving.".to_string(),
+    ]
 }
 
 /// The note on what parallelism the server run had, from the CPUs this host
@@ -489,7 +512,7 @@ fn host_note(cpus: Option<usize>, workers: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::host_note;
+    use super::{host_note, notes};
 
     #[test]
     fn host_note_follows_the_cpus_and_workers() {
@@ -502,8 +525,26 @@ mod tests {
             one_worker.contains("ran 1 worker,") && one_worker.contains("one job runs at a time")
         );
         assert!(host_note(None, 4).contains("did not report"));
-        for note in [one, two] {
-            assert!(!note.contains('"') && !note.contains('\\'), "{note}");
+        // Only a run with one job at a time may speak of one core.
+        for (cpus, workers, one_core) in [
+            (Some(1), 4, true),
+            (Some(8), 1, true),
+            (Some(2), 4, false),
+            (None, 4, false),
+        ] {
+            let notes = notes(cpus, workers);
+            let claims = notes
+                .iter()
+                .filter(|note| note.contains("one core"))
+                .count();
+            assert_eq!(
+                claims > 0,
+                one_core,
+                "{cpus:?} CPUs, {workers} workers: {notes:?}"
+            );
+            for note in &notes {
+                assert!(!note.contains('"') && !note.contains('\\'), "{note}");
+            }
         }
     }
 }

@@ -40,17 +40,29 @@
 //!
 //! [`FusionPolicy::Aggressive`] additionally fuses *across* noise channels by
 //! carrying them forward: when an op with channels is absorbed into a later
-//! kernel `U`, each of its channels `{K_i}` is conjugated into `{U K_i U†}`
-//! and re-attached after the fused kernel. Conjugation commutes a channel past
-//! a unitary exactly — `‖U K U† (U|ψ⟩)‖ = ‖K|ψ⟩‖` for every operator, so both
-//! the per-branch probabilities and the post-branch states are unchanged — and
-//! adjacent carried channels on the same target are composed
-//! ([`KrausChannel::then`](crate::KrausChannel::then), completeness re-checked
-//! on construction) to bound the per-kernel channel count. Noisy circuits
-//! therefore fuse as deeply as ideal ones. The trade: the *number and order*
-//! of RNG draws changes, so Aggressive counts are not bit-identical to `Safe`
-//! counts — they are equal in distribution, which the `verify` crate's TVD
-//! harness checks statistically (see `verify::distribution`).
+//! kernel `U`, each of its channels `{K_i}` is commuted past `U` into
+//! `{U K_i U†}` and re-attached after the fused kernel. Conjugation commutes a
+//! channel past a unitary exactly — `‖U K U† (U|ψ⟩)‖ = ‖K|ψ⟩‖` for every
+//! operator, so both the per-branch probabilities and the post-branch states
+//! are unchanged. While the fusion scan runs, a carried channel keeps the
+//! Kraus set the lowering built and a *frame* `V`, the product of the kernels
+//! it has crossed so far, and stands for `{V K_i V†}`. A one-qubit channel's
+//! `V` is a [`Mat2`] on its qubit until a two-qubit kernel on that qubit
+//! widens it to a [`Mat4`] on the kernel's pair; a two-qubit channel's `V` is
+//! a [`Mat4`] on its own pair from the start, and a kernel on the reversed
+//! pair multiplies in with its tensor factors swapped. Crossing a kernel costs
+//! one small-matrix product per channel, however many operators the channel
+//! has. When the scan ends, each output op's channels are conjugated once
+//! (a one-qubit channel on a pair frame embedded in its slot first), and
+//! adjacent ones on the same target are composed once
+//! ([`KrausChannel::then`](crate::KrausChannel::then)) to bound the
+//! per-kernel channel count. Every conjugated and every composed Kraus set is
+//! completeness-checked on construction. Noisy circuits therefore fuse as
+//! deeply as ideal ones. The trade: the *number and order* of RNG draws
+//! changes, so Aggressive counts are not bit-identical to `Safe` counts —
+//! they are equal in distribution, which the `verify` crate's TVD harness
+//! checks statistically (see `verify::distribution`), and the exact density
+//! matrix of the fused lowering equals the unfused one to rounding.
 //!
 //! Both the Monte-Carlo engine ([`crate::engine`]) and the exact
 //! density-matrix simulator ([`crate::DensityMatrix::evolve`]) consume the
@@ -1030,14 +1042,25 @@ fn qubits_overlap(a: (QubitId, Option<QubitId>), b: (QubitId, Option<QubitId>)) 
 /// op's identity channels are dropped — they consumed no RNG), so the channel
 /// application order of a trajectory is unchanged. With `aggressive` set, the
 /// scan no longer stops at RNG-consuming ops: an absorbed op's real channels
-/// are conjugated past the absorbing kernel ([`carry_channels`]) and prepended
-/// to its carried list. Returns the fused list and the number of ops
-/// eliminated.
+/// move, with their frames, ahead of the absorbing op's pending list, and
+/// each frame crosses the absorbing kernel ([`carry`]). A channel's frame `V`
+/// is the product of the kernels it has been commuted past, so an absorption
+/// costs one small-matrix product per channel and never touches a Kraus
+/// operator. The one crossing a frame cannot take, a two-qubit frame sharing
+/// exactly one qubit with a two-qubit kernel, declines the fusion before
+/// anything moves ([`can_carry`]). When the scan ends, each output op's
+/// channels are conjugated by their frames once ([`Carried::materialize`])
+/// and composed once ([`compress_carried`]). Returns the fused list and the
+/// number of ops eliminated.
 fn fuse_ops(ops: Vec<PrecompiledOp>, aggressive: bool) -> (Vec<PrecompiledOp>, usize) {
     let mut out: Vec<PrecompiledOp> = Vec::with_capacity(ops.len());
+    // `pending[i]`: the channels `out[i]` carries, still lazy. Without
+    // `aggressive` every list stays empty.
+    let mut pending: Vec<Vec<Carried>> = Vec::with_capacity(ops.len());
     let mut fused = 0usize;
     for op in ops {
         let mut cur = op;
+        let mut cur_pending = Vec::new();
         // Each successful fuse can widen `cur`'s qubit set (1q absorbed into
         // 2q), so restart the backward scan until nothing more absorbs.
         'retry: while let Some(cur_q) = kind_qubits(&cur.kind) {
@@ -1050,19 +1073,20 @@ fn fuse_ops(ops: Vec<PrecompiledOp>, aggressive: bool) -> (Vec<PrecompiledOp>, u
                 let Some(prev_q) = kind_qubits(&prev.kind) else {
                     break 'retry;
                 };
-                if qubits_overlap(cur_q, prev_q) && disjoint_from(&blocked, prev_q) {
+                if qubits_overlap(cur_q, prev_q)
+                    && disjoint_from(&blocked, prev_q)
+                    && can_carry(prev, &pending[i], &cur.kind)
+                {
                     if let Some(kind) = combine_kinds(&prev.kind, &cur.kind) {
-                        // Conjugate the absorbed op's channels past `cur`'s
+                        // The absorbed op's channels cross `cur`'s
                         // *pre-fusion* kernel — the unitary they now have to
-                        // cross — before committing to the fused kernel.
-                        if let Some(mut carried) = carry_channels(prev, &cur.kind) {
-                            cur.kind = kind;
-                            carried.append(&mut cur.carried);
-                            cur.carried = compress_carried(carried);
-                            out.remove(i);
-                            fused += 1;
-                            continue 'retry;
-                        }
+                        // commute past.
+                        let mut carried = carry(out.remove(i), pending.remove(i), &cur.kind);
+                        carried.append(&mut cur_pending);
+                        cur_pending = carried;
+                        cur.kind = kind;
+                        fused += 1;
+                        continue 'retry;
                     }
                 }
                 blocked.push(prev_q.0);
@@ -1078,8 +1102,229 @@ fn fuse_ops(ops: Vec<PrecompiledOp>, aggressive: bool) -> (Vec<PrecompiledOp>, u
             break;
         }
         out.push(cur);
+        pending.push(cur_pending);
+    }
+    for (op, carried) in out.iter_mut().zip(pending) {
+        op.carried = compress_carried(carried.into_iter().map(Carried::materialize).collect());
     }
     (out, fused)
+}
+
+/// True when every channel `prev` would carry — its pending ones and its
+/// depolarizing channel — can cross `kernel`. The one crossing that blocks
+/// a fusion is a two-qubit frame sharing exactly one qubit with a two-qubit
+/// kernel: its conjugate would act on three qubits.
+fn can_carry(prev: &PrecompiledOp, pending: &[Carried], kernel: &PrecompiledKind) -> bool {
+    let own = match &prev.depolarizing {
+        Some(AttachedChannel::Two { q0, q1, .. }) => !overlaps_partially((*q0, *q1), kernel),
+        Some(AttachedChannel::One { .. }) | None => true,
+    };
+    own && pending.iter().all(|carried| carried.can_cross(kernel))
+}
+
+/// Moves `prev`'s real (non-identity) channels — `pending`, depolarizing,
+/// relaxation, in trajectory order — out of it, each frame crossed past
+/// `kernel`, so they can be carried after the fused kernel. Callers check
+/// [`can_carry`] first.
+fn carry(prev: PrecompiledOp, mut pending: Vec<Carried>, kernel: &PrecompiledKind) -> Vec<Carried> {
+    let depolarizing = prev
+        .depolarizing
+        .into_iter()
+        .filter(|channel| !channel.is_identity())
+        .map(|channel| match channel {
+            AttachedChannel::One { channel, qubit } => Carried::one(channel, qubit),
+            AttachedChannel::Two { channel, q0, q1 } => Carried::Two {
+                channel,
+                frame: PairFrame {
+                    v: Mat4::identity(),
+                    q0,
+                    q1,
+                },
+            },
+        });
+    let relaxation = prev
+        .relaxation
+        .into_iter()
+        .filter(|(_, channel)| !channel.is_identity())
+        .map(|(qubit, channel)| Carried::one(channel, qubit));
+    pending.extend(depolarizing.chain(relaxation));
+    for channel in &mut pending {
+        channel.cross(kernel);
+    }
+    pending
+}
+
+/// A channel carried by [`FusionPolicy::Aggressive`] while the fusion scan
+/// runs: the Kraus set `{K}` the lowering built, untouched, and the unitary
+/// frame `V` it has been commuted past. It stands for `{V K V†}`. A
+/// two-qubit channel always has a two-qubit frame.
+enum Carried {
+    /// A one-qubit channel on `qubit`.
+    One {
+        channel: Kraus1q,
+        qubit: QubitId,
+        frame: QubitFrame,
+    },
+    /// A two-qubit channel on its frame's pair, in the pair's order.
+    Two { channel: Kraus2q, frame: PairFrame },
+}
+
+/// The frame of a one-qubit channel: a `Mat2` on its qubit until a two-qubit
+/// kernel on that qubit crosses it, then a frame on the kernel's pair.
+// Most carried channels widen, and every crossing updates the frame in place,
+// so the pair frame is kept inline rather than boxed.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Copy)]
+enum QubitFrame {
+    Qubit(Mat2),
+    Pair(PairFrame),
+}
+
+/// A frame `V` on the ordered pair `(q0, q1)` (`q0` is the most significant
+/// qubit of `V`).
+#[derive(Clone, Copy)]
+struct PairFrame {
+    v: Mat4,
+    q0: QubitId,
+    q1: QubitId,
+}
+
+impl PairFrame {
+    /// Commutes the frame past `kernel`: `V ← U·V`, with `U` the kernel on
+    /// the pair's coordinates (a one-qubit kernel embedded, a reversed pair's
+    /// tensor factors swapped). A disjoint kernel commutes with the channel
+    /// and leaves `V` as it is; a partially overlapping one never reaches
+    /// here ([`can_carry`]).
+    fn cross(&mut self, kernel: &PrecompiledKind) {
+        let u = match *kernel {
+            PrecompiledKind::Unitary1Q { ref matrix, qubit }
+                if qubit == self.q0 || qubit == self.q1 =>
+            {
+                embed_in_pair(matrix, qubit, self.q0, self.q1)
+            }
+            PrecompiledKind::Unitary2Q { ref matrix, q0, q1 } if (q0, q1) == (self.q0, self.q1) => {
+                *matrix
+            }
+            PrecompiledKind::Unitary2Q { ref matrix, q0, q1 } if (q0, q1) == (self.q1, self.q0) => {
+                swap_tensor_factors(matrix)
+            }
+            _ => return,
+        };
+        self.v = u * self.v;
+    }
+}
+
+/// True when `kernel` is a two-qubit kernel sharing exactly one qubit with
+/// the pair.
+fn overlaps_partially((a, b): (QubitId, QubitId), kernel: &PrecompiledKind) -> bool {
+    match *kernel {
+        PrecompiledKind::Unitary2Q { q0, q1, .. } => (a == q0 || a == q1) != (b == q0 || b == q1),
+        PrecompiledKind::Unitary1Q { .. } | PrecompiledKind::Silent => false,
+    }
+}
+
+impl Carried {
+    /// A one-qubit channel on `qubit` that has crossed nothing yet.
+    fn one(channel: Kraus1q, qubit: QubitId) -> Carried {
+        Carried::One {
+            channel,
+            qubit,
+            frame: QubitFrame::Qubit(Mat2::identity()),
+        }
+    }
+
+    /// True unless the channel has a two-qubit frame that shares exactly one
+    /// qubit with `kernel`.
+    fn can_cross(&self, kernel: &PrecompiledKind) -> bool {
+        match self {
+            Carried::One {
+                frame: QubitFrame::Pair(frame),
+                ..
+            }
+            | Carried::Two { frame, .. } => !overlaps_partially((frame.q0, frame.q1), kernel),
+            Carried::One {
+                frame: QubitFrame::Qubit(_),
+                ..
+            } => true,
+        }
+    }
+
+    /// Commutes the channel past `kernel` by updating its frame: a one-qubit
+    /// frame multiplies by a kernel on its qubit, or widens to a frame on the
+    /// pair of a two-qubit kernel that holds its qubit.
+    fn cross(&mut self, kernel: &PrecompiledKind) {
+        match self {
+            Carried::One { qubit, frame, .. } => {
+                let qubit = *qubit;
+                *frame = match (*frame, kernel) {
+                    (
+                        QubitFrame::Qubit(v),
+                        &PrecompiledKind::Unitary1Q {
+                            ref matrix,
+                            qubit: q,
+                        },
+                    ) if q == qubit => QubitFrame::Qubit(*matrix * v),
+                    (QubitFrame::Qubit(v), &PrecompiledKind::Unitary2Q { ref matrix, q0, q1 })
+                        if q0 == qubit || q1 == qubit =>
+                    {
+                        QubitFrame::Pair(PairFrame {
+                            v: *matrix * embed_in_pair(&v, qubit, q0, q1),
+                            q0,
+                            q1,
+                        })
+                    }
+                    (QubitFrame::Pair(mut pair), _) => {
+                        pair.cross(kernel);
+                        QubitFrame::Pair(pair)
+                    }
+                    (unchanged, _) => unchanged,
+                };
+            }
+            Carried::Two { frame, .. } => frame.cross(kernel),
+        }
+    }
+
+    /// The channel as it is attached to the fused op: `{V K V†}`, a one-qubit
+    /// channel on a pair frame embedded in its slot of the pair first. The
+    /// rewritten Kraus set is completeness-checked once, by
+    /// [`KrausChannel::new`](crate::KrausChannel::new).
+    fn materialize(self) -> AttachedChannel {
+        match self {
+            Carried::One {
+                channel,
+                qubit,
+                frame: QubitFrame::Qubit(v),
+            } => AttachedChannel::One {
+                channel: channel.conjugate_by(&v),
+                qubit,
+            },
+            Carried::One {
+                channel,
+                qubit,
+                frame: QubitFrame::Pair(PairFrame { v, q0, q1 }),
+            } => {
+                let vd = v.dagger();
+                let operators = channel
+                    .operators()
+                    .iter()
+                    .map(|k| v * embed_in_pair(k, qubit, q0, q1) * vd)
+                    .collect();
+                AttachedChannel::Two {
+                    channel: Kraus2q::new(operators),
+                    q0,
+                    q1,
+                }
+            }
+            Carried::Two {
+                channel,
+                frame: PairFrame { v, q0, q1 },
+            } => AttachedChannel::Two {
+                channel: channel.conjugate_by(&v),
+                q0,
+                q1,
+            },
+        }
+    }
 }
 
 /// Upper bound on the Kraus-operator count of a composed carried channel;
@@ -1092,99 +1337,6 @@ fn attached_qubits(ch: &AttachedChannel) -> (QubitId, Option<QubitId>) {
     match ch {
         AttachedChannel::One { qubit, .. } => (*qubit, None),
         AttachedChannel::Two { q0, q1, .. } => (*q0, Some(*q1)),
-    }
-}
-
-/// Collects `prev`'s real (non-identity) channels — carried, depolarizing,
-/// relaxation, in trajectory order — each conjugated past `cur_kind` so they
-/// can be re-attached after the fused kernel. `None` when some channel cannot
-/// be carried (the caller then declines the fusion).
-fn carry_channels(
-    prev: &PrecompiledOp,
-    cur_kind: &PrecompiledKind,
-) -> Option<Vec<AttachedChannel>> {
-    let own = prev
-        .depolarizing
-        .iter()
-        .cloned()
-        .chain(
-            prev.relaxation
-                .iter()
-                .map(|(q, channel)| AttachedChannel::One {
-                    channel: channel.clone(),
-                    qubit: *q,
-                }),
-        );
-    let mut carried = Vec::new();
-    for ch in prev.carried.iter().cloned().chain(own) {
-        if ch.is_identity() {
-            continue;
-        }
-        carried.push(carry_channel(ch, cur_kind)?);
-    }
-    Some(carried)
-}
-
-/// Conjugates one attached channel past the unitary kernel `cur_kind`,
-/// commuting it from before the kernel to after it. Channels on qubits
-/// disjoint from the kernel pass through unchanged; overlapping channels are
-/// conjugated by the kernel (1q channels are tensor-embedded into 2q arity
-/// first). `None` for the one uncarriable shape: a 2q channel partially
-/// overlapping a 2q kernel.
-fn carry_channel(ch: AttachedChannel, cur_kind: &PrecompiledKind) -> Option<AttachedChannel> {
-    match cur_kind {
-        PrecompiledKind::Unitary1Q { matrix, qubit } => Some(match ch {
-            AttachedChannel::One { channel, qubit: q } if q == *qubit => AttachedChannel::One {
-                channel: channel.conjugate_by(matrix),
-                qubit: q,
-            },
-            AttachedChannel::Two { channel, q0, q1 } if *qubit == q0 || *qubit == q1 => {
-                AttachedChannel::Two {
-                    channel: channel.conjugate_by(&embed_in_pair(matrix, *qubit, q0, q1)),
-                    q0,
-                    q1,
-                }
-            }
-            disjoint => disjoint,
-        }),
-        PrecompiledKind::Unitary2Q { matrix, q0, q1 } => match ch {
-            AttachedChannel::One { channel, qubit } if qubit == *q0 => Some(AttachedChannel::Two {
-                channel: channel.embed_msb().conjugate_by(matrix),
-                q0: *q0,
-                q1: *q1,
-            }),
-            AttachedChannel::One { channel, qubit } if qubit == *q1 => Some(AttachedChannel::Two {
-                channel: channel.embed_lsb().conjugate_by(matrix),
-                q0: *q0,
-                q1: *q1,
-            }),
-            AttachedChannel::Two {
-                channel,
-                q0: a,
-                q1: b,
-            } if (a, b) == (*q0, *q1) => Some(AttachedChannel::Two {
-                channel: channel.conjugate_by(matrix),
-                q0: a,
-                q1: b,
-            }),
-            AttachedChannel::Two {
-                channel,
-                q0: a,
-                q1: b,
-            } if (a, b) == (*q1, *q0) => Some(AttachedChannel::Two {
-                channel: channel.swap_factors().conjugate_by(matrix),
-                q0: *q0,
-                q1: *q1,
-            }),
-            AttachedChannel::Two { q0: a, q1: b, .. }
-                if qubits_overlap((a, Some(b)), (*q0, Some(*q1))) =>
-            {
-                None
-            }
-            disjoint => Some(disjoint),
-        },
-        // `combine_kinds` never fuses into a Silent op.
-        PrecompiledKind::Silent => None,
     }
 }
 
@@ -1824,6 +1976,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn carried_frames_widen_cross_and_block_as_stated() {
+        let relax = crate::channels::thermal_relaxation(3000.0, 20.0, 15.0);
+        let cnot = gates::standard::cnot();
+        let pair = |q0, q1| PrecompiledKind::Unitary2Q {
+            matrix: cnot,
+            q0,
+            q1,
+        };
+        let h = PrecompiledKind::Unitary1Q {
+            matrix: gates::standard::h(),
+            qubit: 1,
+        };
+        // A one-qubit frame crosses any kernel; CNOT(0, 1) widens it onto
+        // the pair, with the channel in the least significant slot.
+        let mut carried = Carried::one(relax.clone(), 1);
+        assert!(carried.can_cross(&pair(1, 2)));
+        carried.cross(&pair(0, 1));
+        for kernel in [pair(0, 1), pair(1, 0), h.clone(), pair(2, 3)] {
+            assert!(carried.can_cross(&kernel), "{kernel:?}");
+        }
+        for kernel in [pair(1, 2), pair(2, 0)] {
+            assert!(!carried.can_cross(&kernel), "{kernel:?}");
+        }
+        carried.cross(&h);
+        let expected = relax
+            .embed_lsb()
+            .conjugate_by(&cnot)
+            .conjugate_by(&Mat2::identity().kron(&gates::standard::h()));
+        match carried.materialize() {
+            AttachedChannel::Two {
+                channel,
+                q0: 0,
+                q1: 1,
+            } => {
+                for (a, b) in channel.operators().iter().zip(expected.operators()) {
+                    assert!(a.approx_eq(b, 1e-12));
+                }
+            }
+            other => panic!("expected a channel on (0, 1), got {other:?}"),
+        }
+        // An op's own two-qubit depolarizing channel blocks the same way.
+        let noisy = PrecompiledOp {
+            kind: pair(0, 1),
+            carried: Vec::new(),
+            depolarizing: Some(AttachedChannel::Two {
+                channel: crate::channels::depolarizing_2q(0.1),
+                q0: 0,
+                q1: 1,
+            }),
+            relaxation: Vec::new(),
+        };
+        assert!(can_carry(&noisy, &[], &pair(1, 0)));
+        assert!(!can_carry(&noisy, &[], &pair(1, 2)));
     }
 
     #[test]

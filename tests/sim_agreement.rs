@@ -1,13 +1,17 @@
 //! Validation of the Monte-Carlo trajectory simulator against the exact
 //! density-matrix evolution for small circuits (the DESIGN.md "trajectory vs
-//! density-matrix agreement" ablation).
+//! density-matrix agreement" ablation), and of Aggressive fusion's lowering
+//! against the unfused one through the same exact evolution.
 
+use apps::workloads::{qaoa_circuit, qv_circuit};
 use circuit::{Circuit, Operation};
+use compiler::{Compiler, CompilerOptions};
 use device::DeviceModel;
+use gates::InstructionSet;
 use qmath::RngSeed;
 use sim::{
-    DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel, NoisySimulator, SimJob,
-    FOLD_MIN_QUBITS,
+    DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel, NoisySimulator, PrecompiledCircuit,
+    SimJob, FOLD_MIN_QUBITS,
 };
 
 fn bell_plus_rotation() -> Circuit {
@@ -173,4 +177,84 @@ fn folded_trajectories_match_the_density_matrix_above_the_fold_threshold() {
             );
         }
     }
+}
+
+/// Asserts that Aggressive fusion leaves the exact density matrix as the
+/// unfused lowering has it, to 1e-10 per entry: carrying a channel past a
+/// kernel must give the same mixture, not only the same distribution. Also
+/// asserts that the lowering did carry channels, so the comparison is not
+/// vacuous.
+fn assert_aggressive_lowering_is_exact(circuit: &Circuit, noise: &NoiseModel, label: &str) {
+    let unfused = PrecompiledCircuit::new(circuit, noise);
+    let aggressive = PrecompiledCircuit::with_fusion(circuit, noise, FusionPolicy::Aggressive);
+    assert!(
+        aggressive.ops().iter().any(|op| !op.carried.is_empty()),
+        "{label}: Aggressive fusion carried no channel"
+    );
+    let expected = DensityMatrix::evolve_precompiled(&unfused);
+    let fused = DensityMatrix::evolve_precompiled(&aggressive);
+    let (expected, fused) = (expected.matrix(), fused.matrix());
+    let dim = 1 << circuit.num_qubits();
+    let mut worst: f64 = 0.0;
+    for r in 0..dim {
+        for c in 0..dim {
+            worst = worst.max((expected[(r, c)] - fused[(r, c)]).norm());
+        }
+    }
+    assert!(worst <= 1e-10, "{label}: an entry differs by {worst}");
+}
+
+/// Four qubits where Aggressive fusion takes every frame path:
+/// - one-qubit channels widen from both slots of a pair (H on 0 and RX on 1
+///   into CZ(0, 1));
+/// - reversed-pair kernels cross carried two-qubit channels (CNOT(1, 0)
+///   after CZ(0, 1), ZZ(3, 2) after CNOT(2, 3));
+/// - a one-qubit channel left on its qubit by a disjoint kernel (CZ(0, 1)'s
+///   relaxation on 1, past U3 on 0) widens into the reversed pair;
+/// - a measurement mid-circuit stops the fusion scan.
+fn frame_crossing_circuit() -> Circuit {
+    let mut c = Circuit::new(4);
+    c.push(Operation::h(0));
+    c.push(Operation::rx(1, 0.9));
+    c.push(Operation::cz(0, 1));
+    c.push(Operation::u3(0, 0.4, 0.2, 1.7));
+    c.push(Operation::cnot(1, 0));
+    c.push(Operation::u3(2, 1.1, 0.3, 0.5));
+    c.push(Operation::cnot(2, 3));
+    c.push(Operation::zz(3, 2, 0.7));
+    c.push(Operation::measure(vec![0, 1]));
+    c.push(Operation::rx(1, 1.3));
+    c.push(Operation::cz(1, 2));
+    c.push(Operation::h(2));
+    c.push(Operation::cnot(2, 1));
+    c.push(Operation::cnot(0, 1));
+    c.measure_all();
+    c
+}
+
+#[test]
+fn aggressive_lowering_evolves_the_exact_density_matrix_of_the_unfused_one() {
+    let device = DeviceModel::aspen8(RngSeed(1));
+    for set in [InstructionSet::s(3), InstructionSet::full_xy()] {
+        let compiler = Compiler::for_device(device.clone())
+            .instruction_set(set.clone())
+            .options(CompilerOptions::sweep())
+            .build()
+            .expect("S3 and FullXY are valid instruction sets");
+        for (workload, logical) in [
+            ("QAOA-4", qaoa_circuit(4, RngSeed(3))),
+            ("QV-3", qv_circuit(3, RngSeed(3))),
+        ] {
+            let compiled = compiler
+                .compile(&logical)
+                .expect("small circuits fit Aspen-8");
+            let mut noise = NoiseModel::from_device(&compiled.subdevice);
+            noise.with_readout_error = false;
+            let label = format!("{workload} under {}", set.name());
+            assert_aggressive_lowering_is_exact(&compiled.circuit, &noise, &label);
+        }
+    }
+    let mut noise = NoiseModel::from_device(&device);
+    noise.with_readout_error = false;
+    assert_aggressive_lowering_is_exact(&frame_crossing_circuit(), &noise, "frame crossings");
 }
