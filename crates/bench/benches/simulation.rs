@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the simulation and compilation substrate:
-//! state-vector scaling, noisy trajectories, and the end-to-end pipeline
-//! kernels behind Figs. 9-10.
+//! state-vector scaling, noisy trajectories, the end-to-end pipeline
+//! kernels behind Figs. 9-10, and the device-only work of a warm request.
 
 use bench::{compiler_for, qaoa_suite, qv_suite};
-use compiler::CompilerOptions;
+use compiler::{try_select_region, CompilerOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
-use sim::{IdealSimulator, NoiseModel, NoisySimulator};
+use sim::{FusionPolicy, IdealSimulator, NoiseModel, NoisySimulator, PrecompiledCircuit};
 
 fn bench_statevector_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ideal_simulation");
@@ -68,10 +68,40 @@ fn bench_compile_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// The parts of a warm request that depend only on the device: region
+/// selection at the widths the job server sees (and Sycamore at 20), and
+/// the Safe lowering of a QV-4 circuit compiled for Aspen-8 under S3, which
+/// builds the circuit's noise channels.
+fn bench_warm_request(c: &mut Criterion) {
+    let aspen = DeviceModel::aspen8(RngSeed(1));
+    let sycamore = DeviceModel::sycamore(RngSeed(2));
+    let mut group = c.benchmark_group("warm_request");
+    group.sample_size(100);
+    for (label, device, n) in [
+        ("region_aspen8", &aspen, 4usize),
+        ("region_aspen8", &aspen, 6),
+        ("region_sycamore", &sycamore, 20),
+    ] {
+        group.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
+            b.iter(|| try_select_region(device, n).expect("the region fits the device"));
+        });
+    }
+    let compiled = compiler_for(&aspen, &InstructionSet::s(3), &CompilerOptions::sweep())
+        .expect("S3 is a valid instruction set")
+        .compile(&apps::workloads::qv_circuit(4, RngSeed(1)))
+        .expect("QV-4 fits Aspen-8");
+    let noise = NoiseModel::from_device(&compiled.subdevice);
+    group.bench_function("lower_safe_qv4", |b| {
+        b.iter(|| PrecompiledCircuit::with_fusion(&compiled.circuit, &noise, FusionPolicy::Safe));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_statevector_scaling,
     bench_noisy_trajectories,
-    bench_compile_pipeline
+    bench_compile_pipeline,
+    bench_warm_request
 );
 criterion_main!(benches);

@@ -13,12 +13,10 @@
 //! gates ... requires around 220 seconds").
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use circuit::{Circuit, OpKind, Operation, QubitId};
+use circuit::{Circuit, OpKind, QubitId};
 use gates::{GateSetKind, InstructionSet};
-use parking_lot::Mutex;
 use qmath::{CMatrix, Mat4};
 use serde::{Deserialize, Serialize};
 
@@ -75,11 +73,17 @@ pub struct PassStats {
     pub cache_misses: usize,
 }
 
+/// One two-qubit operation to decompose: its index in the circuit, its
+/// target unitary and its physical pair.
+type Work<'a> = (usize, &'a CMatrix, QubitId, QubitId);
+
 /// The NuOp circuit pass.
 pub struct NuOpPass {
     instruction_set: InstructionSet,
     config: DecomposeConfig,
-    threads: usize,
+    /// Worker threads; `None` means one per CPU, read when [`NuOpPass::run`]
+    /// needs it.
+    threads: Option<usize>,
     cache: Arc<DecompositionCache>,
 }
 
@@ -88,18 +92,25 @@ impl NuOpPass {
     /// configuration and a private decomposition cache. Use
     /// [`NuOpPass::with_cache`] to share a cache across passes (and therefore
     /// across compiles).
+    ///
+    /// The pass uses one worker thread per CPU unless
+    /// [`NuOpPass::with_threads`] sets a count. Construction does not query
+    /// the host: [`NuOpPass::run`] reads the CPU count, and only when it has
+    /// more than one operation to decompose and no count was set.
     pub fn new(instruction_set: InstructionSet, config: DecomposeConfig) -> Self {
         NuOpPass {
             instruction_set,
             config,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: None,
             cache: Arc::new(DecompositionCache::new()),
         }
     }
 
-    /// Sets the number of worker threads (1 disables parallelism).
+    /// Sets the number of worker threads (1 disables parallelism), in place
+    /// of the default of one per CPU that [`NuOpPass::run`] would otherwise
+    /// read from the host.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -211,33 +222,28 @@ impl NuOpPass {
         provider: &dyn HardwareFidelityProvider,
     ) -> (Circuit, PassStats) {
         // Collect the two-qubit operations that need decomposition.
-        let work: Vec<(usize, &Operation)> = circuit
+        let work: Vec<Work<'_>> = circuit
             .iter()
             .enumerate()
-            .filter(|(_, op)| op.is_two_qubit_unitary())
+            .filter_map(|(idx, op)| match (op.kind(), op.qubits()) {
+                (OpKind::Unitary2Q { matrix, .. }, &[q0, q1]) => Some((idx, matrix, q0, q1)),
+                _ => None,
+            })
             .collect();
 
-        let results: Vec<(usize, Decomposition, String, bool)> =
-            if self.threads <= 1 || work.len() <= 1 {
-                work.iter()
-                    .map(|(idx, op)| {
-                        let (d, g, hit) = self.decompose_cached(
-                            op.matrix().expect("two-qubit unitary has a matrix"),
-                            op.qubits()[0],
-                            op.qubits()[1],
-                            provider,
-                        );
-                        (*idx, d, g, hit)
-                    })
-                    .collect()
-            } else {
-                self.run_parallel(&work, provider)
-            };
-
-        let mut by_index: HashMap<usize, (Decomposition, String, bool)> = results
-            .into_iter()
-            .map(|(idx, d, g, hit)| (idx, (d, g, hit)))
-            .collect();
+        let threads = if work.len() <= 1 {
+            1
+        } else {
+            self.threads
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        };
+        let results = if threads <= 1 {
+            work.iter()
+                .map(|&(_, target, q0, q1)| self.decompose_cached(target, q0, q1, provider))
+                .collect()
+        } else {
+            self.run_parallel(&work, threads, provider)
+        };
 
         let mut out = Circuit::new(circuit.num_qubits());
         let mut stats = PassStats {
@@ -246,10 +252,11 @@ impl NuOpPass {
         };
         let mut fd_sum = 0.0;
         let mut fu_sum = 0.0;
+        // `results` lines up with `work`, which is in circuit order.
+        let mut decomposed = work.iter().zip(results).peekable();
         for (idx, op) in circuit.iter().enumerate() {
-            match op.kind() {
-                OpKind::Unitary2Q { .. } => {
-                    let (d, gate_name, hit) = by_index.remove(&idx).expect("decomposed above");
+            match decomposed.next_if(|((work_idx, ..), _)| *work_idx == idx) {
+                Some((&(_, _, q0, q1), (d, gate_name, hit))) => {
                     stats.input_two_qubit_gates += 1;
                     if hit {
                         stats.cache_hits += 1;
@@ -261,11 +268,11 @@ impl NuOpPass {
                     fu_sum += d.overall_fidelity;
                     stats.estimated_circuit_fidelity *= d.overall_fidelity;
                     *stats.gate_type_histogram.entry(gate_name).or_insert(0) += d.layers;
-                    for new_op in d.to_operations(op.qubits()[0], op.qubits()[1]) {
+                    for new_op in d.to_operations(q0, q1) {
                         out.push(new_op);
                     }
                 }
-                _ => out.push(op.clone()),
+                None => out.push(op.clone()),
             }
         }
         if stats.input_two_qubit_gates > 0 {
@@ -278,38 +285,45 @@ impl NuOpPass {
         (out, stats)
     }
 
+    /// Decomposes `work` in contiguous chunks, one per thread, and returns
+    /// the results in `work`'s order. A panicking worker's panic resumes here.
     fn run_parallel(
         &self,
-        work: &[(usize, &Operation)],
+        work: &[Work<'_>],
+        threads: usize,
         provider: &dyn HardwareFidelityProvider,
-    ) -> Vec<(usize, Decomposition, String, bool)> {
-        let chunk = work.len().div_ceil(self.threads);
-        let results = Mutex::new(Vec::with_capacity(work.len()));
-        let results_ref = &results;
+    ) -> Vec<(Decomposition, String, bool)> {
+        let chunk = work.len().div_ceil(threads).max(1);
         std::thread::scope(|scope| {
-            for piece in work.chunks(chunk.max(1)) {
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(piece.len());
-                    for (idx, op) in piece {
-                        let (d, g, hit) = self.decompose_cached(
-                            op.matrix().expect("two-qubit unitary has a matrix"),
-                            op.qubits()[0],
-                            op.qubits()[1],
-                            provider,
-                        );
-                        local.push((*idx, d, g, hit));
-                    }
-                    results_ref.lock().extend(local);
-                });
+            let handles: Vec<_> = work
+                .chunks(chunk)
+                .map(|piece| {
+                    scope.spawn(move || {
+                        piece
+                            .iter()
+                            .map(|&(_, target, q0, q1)| {
+                                self.decompose_cached(target, q0, q1, provider)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut results = Vec::with_capacity(work.len());
+            for handle in handles {
+                match handle.join() {
+                    Ok(piece) => results.extend(piece),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
-        });
-        results.into_inner()
+            results
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use circuit::Operation;
     use gates::standard;
     use qmath::{haar_random_su4, RngSeed};
 

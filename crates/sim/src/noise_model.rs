@@ -6,12 +6,14 @@
 //! noise based on T1 and T2 times as well as gate duration", plus classical
 //! readout error at measurement.
 
+use std::collections::HashMap;
+
 use circuit::{OpKind, Operation, QubitId};
 use device::DeviceModel;
 use serde::{Deserialize, Serialize};
 
 use crate::channels::{
-    depolarizing_1q, depolarizing_2q, thermal_relaxation, ArityChannel, Kraus1q,
+    depolarizing_1q, depolarizing_2q, thermal_relaxation, ArityChannel, Kraus1q, Kraus2q,
 };
 
 /// The noise applied around one circuit operation.
@@ -75,6 +77,12 @@ impl NoiseModel {
 
     /// Builds the noise to apply after `op`.
     pub fn noise_for(&self, op: &Operation) -> OperationNoise {
+        self.noise_with(op, &mut ChannelMemo::default())
+    }
+
+    /// Builds the noise to apply after `op`, taking each channel from `memo`
+    /// when an earlier op of the same lowering already built it.
+    pub(crate) fn noise_with(&self, op: &Operation, memo: &mut ChannelMemo) -> OperationNoise {
         use nuop_core::HardwareFidelityProvider as _;
         let durations = self.device.durations();
         match op.kind() {
@@ -83,11 +91,11 @@ impl NoiseModel {
                 let err = (1.0 - self.device.one_qubit_fidelity(q)).clamp(0.0, 1.0);
                 OperationNoise {
                     depolarizing: if err > 0.0 {
-                        Some(ArityChannel::One(depolarizing_1q(err)))
+                        Some(ArityChannel::One(memo.depolarizing_1q(err)))
                     } else {
                         None
                     },
-                    relaxation: self.relaxation_for(&[q], durations.one_qubit_ns),
+                    relaxation: self.relaxation_for(&[q], durations.one_qubit_ns, memo),
                 }
             }
             OpKind::Unitary2Q { label, .. } => {
@@ -96,16 +104,16 @@ impl NoiseModel {
                 let err = ((1.0 - fid) * self.two_qubit_error_scale).clamp(0.0, 1.0);
                 OperationNoise {
                     depolarizing: if err > 0.0 {
-                        Some(ArityChannel::Two(depolarizing_2q(err)))
+                        Some(ArityChannel::Two(memo.depolarizing_2q(err)))
                     } else {
                         None
                     },
-                    relaxation: self.relaxation_for(&[q0, q1], durations.two_qubit_ns),
+                    relaxation: self.relaxation_for(&[q0, q1], durations.two_qubit_ns, memo),
                 }
             }
             OpKind::Measure => OperationNoise {
                 depolarizing: None,
-                relaxation: self.relaxation_for(op.qubits(), durations.measurement_ns),
+                relaxation: self.relaxation_for(op.qubits(), durations.measurement_ns, memo),
             },
             OpKind::Barrier => OperationNoise {
                 depolarizing: None,
@@ -114,7 +122,12 @@ impl NoiseModel {
         }
     }
 
-    fn relaxation_for(&self, qubits: &[QubitId], duration_ns: f64) -> Vec<(QubitId, Kraus1q)> {
+    fn relaxation_for(
+        &self,
+        qubits: &[QubitId],
+        duration_ns: f64,
+        memo: &mut ChannelMemo,
+    ) -> Vec<(QubitId, Kraus1q)> {
         if !self.with_relaxation {
             return Vec::new();
         }
@@ -122,9 +135,48 @@ impl NoiseModel {
             .iter()
             .map(|&q| {
                 let cal = self.device.qubit(q);
-                (q, thermal_relaxation(duration_ns, cal.t1_us, cal.t2_us))
+                (q, memo.relaxation(duration_ns, cal.t1_us, cal.t2_us))
             })
             .collect()
+    }
+}
+
+/// The channels one lowering has built so far, keyed by the bits of the
+/// parameters each is a pure function of, so every distinct channel is
+/// built (and completeness-checked) once per lowering and cloned after that.
+///
+/// A memo lives for one call: one
+/// [`PrecompiledCircuit::with_fusion`](crate::PrecompiledCircuit::with_fusion)
+/// or one [`NoiseModel::noise_for`]. It is never kept in the model, whose pub
+/// fields may change between calls.
+#[derive(Debug, Default)]
+pub(crate) struct ChannelMemo {
+    depolarizing_1q: HashMap<u64, Kraus1q>,
+    depolarizing_2q: HashMap<u64, Kraus2q>,
+    relaxation: HashMap<[u64; 3], Kraus1q>,
+}
+
+impl ChannelMemo {
+    fn depolarizing_1q(&mut self, p: f64) -> Kraus1q {
+        self.depolarizing_1q
+            .entry(p.to_bits())
+            .or_insert_with(|| depolarizing_1q(p))
+            .clone()
+    }
+
+    fn depolarizing_2q(&mut self, p: f64) -> Kraus2q {
+        self.depolarizing_2q
+            .entry(p.to_bits())
+            .or_insert_with(|| depolarizing_2q(p))
+            .clone()
+    }
+
+    fn relaxation(&mut self, duration_ns: f64, t1_us: f64, t2_us: f64) -> Kraus1q {
+        let key = [duration_ns.to_bits(), t1_us.to_bits(), t2_us.to_bits()];
+        self.relaxation
+            .entry(key)
+            .or_insert_with(|| thermal_relaxation(duration_ns, t1_us, t2_us))
+            .clone()
     }
 }
 

@@ -11,8 +11,12 @@
 //!
 //! * every unitary is converted to its stack-allocated [`Mat2`]/[`Mat4`] form,
 //! * every op's depolarizing channel and per-qubit relaxation [`Kraus1q`]
-//!   channels are built (and completeness-checked by
-//!   [`KrausChannel::new`](crate::KrausChannel::new)) up front,
+//!   channels are attached up front. Each distinct channel is built (and
+//!   completeness-checked by [`KrausChannel::new`](crate::KrausChannel::new))
+//!   once per lowering: a channel is a pure function of the bits of its
+//!   parameters (the error probability of a depolarizing channel; duration,
+//!   T1 and T2 of a relaxation), so ops that share them get clones of one
+//!   channel, equal to what [`NoiseModel::noise_for`] builds for each op,
 //! * readout-error probabilities are resolved into a flat per-qubit table.
 //!
 //! # Gate fusion
@@ -112,7 +116,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::channels::{ArityChannel, Kraus1q, Kraus2q, KrausChannel, UnitaryMixTerm};
-use crate::noise_model::NoiseModel;
+use crate::noise_model::{ChannelMemo, NoiseModel};
 use crate::statevector::StateVector;
 
 /// Register width, in qubits, from which trajectories run pair runs (see the
@@ -350,11 +354,16 @@ impl PrecompiledCircuit {
     }
 
     /// Lowers `circuit` under `noise` with the given [`FusionPolicy`].
+    ///
+    /// Each distinct channel is built once per call: ops whose depolarizing
+    /// or relaxation parameters have the same bits get clones of the same
+    /// channel, equal to what [`NoiseModel::noise_for`] builds for each op.
     pub fn with_fusion(circuit: &Circuit, noise: &NoiseModel, fusion: FusionPolicy) -> Self {
+        let mut memo = ChannelMemo::default();
         let ops = circuit
             .iter()
             .map(|op| {
-                let op_noise = noise.noise_for(op);
+                let op_noise = noise.noise_with(op, &mut memo);
                 PrecompiledOp {
                     kind: lower_kind(op),
                     carried: Vec::new(),

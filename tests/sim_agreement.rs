@@ -1,7 +1,9 @@
 //! Validation of the Monte-Carlo trajectory simulator against the exact
 //! density-matrix evolution for small circuits (the DESIGN.md "trajectory vs
-//! density-matrix agreement" ablation), and of Aggressive fusion's lowering
-//! against the unfused one through the same exact evolution.
+//! density-matrix agreement" ablation), of Aggressive fusion's lowering
+//! against the unfused one through the same exact evolution, and of the
+//! channels the lowering builds once and shares against the ones
+//! `NoiseModel::noise_for` builds for each op.
 
 use apps::workloads::{qaoa_circuit, qv_circuit};
 use circuit::{Circuit, Operation};
@@ -10,8 +12,8 @@ use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
 use sim::{
-    DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel, NoisySimulator, PrecompiledCircuit,
-    SimJob, FOLD_MIN_QUBITS,
+    ArityChannel, AttachedChannel, DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel,
+    NoisySimulator, PrecompiledCircuit, SimJob, FOLD_MIN_QUBITS,
 };
 
 fn bell_plus_rotation() -> Circuit {
@@ -257,4 +259,111 @@ fn aggressive_lowering_evolves_the_exact_density_matrix_of_the_unfused_one() {
     let mut noise = NoiseModel::from_device(&device);
     noise.with_readout_error = false;
     assert_aggressive_lowering_is_exact(&frame_crossing_circuit(), &noise, "frame crossings");
+}
+
+/// Asserts that every op of the unfused lowering carries exactly the
+/// depolarizing and relaxation channels that `noise_for` builds for its
+/// source op. The lowering builds each distinct channel once and hands out
+/// clones, so a memo keyed on too little would give some op another op's
+/// channel. Also asserts that some channel was shared, so the comparison is
+/// not vacuous.
+fn assert_lowered_channels_match_noise_for(circuit: &Circuit, noise: &NoiseModel, label: &str) {
+    let lowered = PrecompiledCircuit::with_fusion(circuit, noise, FusionPolicy::Off);
+    assert_eq!(lowered.ops().len(), circuit.len(), "{label}");
+    for (i, (op, lowered)) in circuit.iter().zip(lowered.ops()).enumerate() {
+        let expected = noise.noise_for(op);
+        let depolarizing = expected
+            .depolarizing
+            .map(|channel| match (channel, op.qubits()) {
+                (ArityChannel::One(channel), &[qubit]) => AttachedChannel::One { channel, qubit },
+                (ArityChannel::Two(channel), &[q0, q1]) => AttachedChannel::Two { channel, q0, q1 },
+                (_, qubits) => panic!("{label}, op {i}: channel arity for {qubits:?}"),
+            });
+        assert_eq!(lowered.depolarizing, depolarizing, "{label}, op {i}");
+        assert_eq!(lowered.relaxation, expected.relaxation, "{label}, op {i}");
+        assert!(lowered.carried.is_empty(), "{label}, op {i}");
+    }
+    let twoq_depolarizing: Vec<_> = lowered
+        .ops()
+        .iter()
+        .filter_map(|op| match &op.depolarizing {
+            Some(AttachedChannel::Two { channel, .. }) => Some(channel),
+            _ => None,
+        })
+        .collect();
+    let shared = twoq_depolarizing
+        .iter()
+        .enumerate()
+        .any(|(i, a)| twoq_depolarizing[i + 1..].contains(a));
+    assert!(
+        shared || twoq_depolarizing.is_empty(),
+        "{label}: no two-qubit channel was shared"
+    );
+}
+
+/// One-qubit gates, two gate types on one pair (whose calibrated fidelities
+/// differ on Aspen-8), the pair reversed, a measurement and a barrier.
+fn mixed_label_circuit() -> Circuit {
+    let mut c = Circuit::new(4);
+    c.push(Operation::h(2));
+    c.push(Operation::rx(3, 0.4));
+    c.push(Operation::cz(2, 3));
+    c.push(Operation::unitary2q(
+        "XY(pi)",
+        gates::fsim::xy(std::f64::consts::PI),
+        2,
+        3,
+    ));
+    c.push(Operation::cz(3, 2));
+    c.push(Operation::u3(0, 0.3, 0.2, 0.1));
+    c.push(Operation::cnot(0, 1));
+    c.push(Operation::barrier(vec![0, 1, 2, 3]));
+    c.push(Operation::measure(vec![1, 2]));
+    c.push(Operation::h(1));
+    c.push(Operation::cz(2, 3));
+    c.measure_all();
+    c
+}
+
+/// Noise models the lowering must match op for op: the calibrated one, one
+/// with doubled two-qubit error and one without relaxation.
+fn noise_variants(device: &DeviceModel) -> Vec<(&'static str, NoiseModel)> {
+    let calibrated = NoiseModel::from_device(device);
+    let mut doubled = calibrated.clone();
+    doubled.two_qubit_error_scale = 2.0;
+    let mut no_relaxation = calibrated.clone();
+    no_relaxation.with_relaxation = false;
+    vec![
+        ("calibrated", calibrated),
+        ("2q error x2", doubled),
+        ("no relaxation", no_relaxation),
+    ]
+}
+
+#[test]
+fn lowered_channels_equal_the_per_op_noise_for_channels() {
+    let device = DeviceModel::aspen8(RngSeed(1));
+    for set in [InstructionSet::s(3), InstructionSet::full_xy()] {
+        let compiler = Compiler::for_device(device.clone())
+            .instruction_set(set.clone())
+            .options(CompilerOptions::sweep())
+            .build()
+            .expect("S3 and FullXY are valid instruction sets");
+        for (workload, logical) in [
+            ("QV-4", qv_circuit(4, RngSeed(4))),
+            ("QAOA-6", qaoa_circuit(6, RngSeed(4))),
+        ] {
+            let compiled = compiler
+                .compile(&logical)
+                .expect("small circuits fit Aspen-8");
+            for (model, noise) in noise_variants(&compiled.subdevice) {
+                let label = format!("{workload} under {}, {model}", set.name());
+                assert_lowered_channels_match_noise_for(&compiled.circuit, &noise, &label);
+            }
+        }
+    }
+    for (model, noise) in noise_variants(&device) {
+        let label = format!("mixed labels, {model}");
+        assert_lowered_channels_match_noise_for(&mixed_label_circuit(), &noise, &label);
+    }
 }
