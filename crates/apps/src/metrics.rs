@@ -140,7 +140,13 @@ mod tests {
     use super::*;
     use crate::workloads::{qaoa_circuit, qv_circuit};
     use qmath::RngSeed;
-    use sim::{ExecutionEngine, IdealSimulator, NoiseModel, SimJob};
+    use sim::{ExecutionEngine, NoiseModel, SimJob, StateVector};
+
+    fn ideal_counts(circuit: &circuit::Circuit, shots: usize, seed: RngSeed) -> Counts {
+        ExecutionEngine::new()
+            .run_job(&SimJob::ideal(circuit.clone(), shots, seed))
+            .counts
+    }
 
     fn uniform_counts(num_qubits: usize, shots_per_state: usize) -> Counts {
         let mut counts = Counts::new(num_qubits);
@@ -156,8 +162,8 @@ mod tests {
     fn hop_of_ideal_sampling_exceeds_two_thirds() {
         // Sampling a QV circuit ideally gives HOP ≈ 0.85 asymptotically.
         let c = qv_circuit(4, RngSeed(1));
-        let ideal = IdealSimulator::probabilities(&c);
-        let counts = IdealSimulator::sample(&c, 4000, RngSeed(2));
+        let ideal = StateVector::evolve(&c).probabilities();
+        let counts = ideal_counts(&c, 4000, RngSeed(2));
         let hop = heavy_output_probability(&counts, &ideal);
         assert!(hop > 2.0 / 3.0, "hop = {hop}");
     }
@@ -165,7 +171,7 @@ mod tests {
     #[test]
     fn hop_of_uniform_sampling_is_one_half() {
         let c = qv_circuit(4, RngSeed(3));
-        let ideal = IdealSimulator::probabilities(&c);
+        let ideal = StateVector::evolve(&c).probabilities();
         let counts = uniform_counts(4, 10);
         let hop = heavy_output_probability(&counts, &ideal);
         assert!((hop - 0.5).abs() < 0.1, "hop = {hop}");
@@ -174,8 +180,8 @@ mod tests {
     #[test]
     fn xed_is_one_for_ideal_and_zero_for_uniform() {
         let c = qaoa_circuit(4, RngSeed(4));
-        let ideal = IdealSimulator::probabilities(&c);
-        let good = IdealSimulator::sample(&c, 20000, RngSeed(5));
+        let ideal = StateVector::evolve(&c).probabilities();
+        let good = ideal_counts(&c, 20000, RngSeed(5));
         let xed_good = cross_entropy_difference(&good, &ideal);
         assert!(xed_good > 0.9, "xed = {xed_good}");
         let uniform = uniform_counts(4, 100);
@@ -186,8 +192,8 @@ mod tests {
     #[test]
     fn xeb_is_one_for_ideal_and_zero_for_uniform() {
         let c = qv_circuit(4, RngSeed(6));
-        let ideal = IdealSimulator::probabilities(&c);
-        let good = IdealSimulator::sample(&c, 20000, RngSeed(7));
+        let ideal = StateVector::evolve(&c).probabilities();
+        let good = ideal_counts(&c, 20000, RngSeed(7));
         let xeb = linear_xeb_fidelity(&good, &ideal);
         // With the self-overlap normalization, ideal sampling scores ≈1
         // regardless of how scrambled the circuit's distribution is.
@@ -201,7 +207,7 @@ mod tests {
     fn noise_reduces_every_metric() {
         // Clean and noisy runs of the same circuit as one engine batch.
         let c = qv_circuit(3, RngSeed(8));
-        let ideal = IdealSimulator::probabilities(&c);
+        let ideal = StateVector::evolve(&c).probabilities();
         let device = device::DeviceModel::ideal(3, 0.93);
         let mut nm = NoiseModel::from_device(&device);
         nm.with_readout_error = false;

@@ -245,7 +245,7 @@ pub fn unitary_pool(workload: Workload, count: usize, seed: RngSeed) -> Vec<Mat4
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::IdealSimulator;
+    use sim::StateVector;
 
     #[test]
     fn qv_circuit_structure() {
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn qft_on_zero_state_gives_uniform_distribution() {
         let c = qft_circuit(3);
-        let probs = IdealSimulator::probabilities(&c);
+        let probs = StateVector::evolve(&c).probabilities();
         for p in probs {
             assert!((p - 1.0 / 8.0).abs() < 1e-10);
         }
@@ -327,7 +327,7 @@ mod tests {
     fn qft_echo_returns_input_state() {
         for seed in 0..5u64 {
             let (c, x) = qft_echo_circuit(3, RngSeed(seed));
-            let probs = IdealSimulator::probabilities(&c);
+            let probs = StateVector::evolve(&c).probabilities();
             assert!(
                 (probs[x] - 1.0).abs() < 1e-9,
                 "seed {seed}: prob = {}",

@@ -1,36 +1,12 @@
-//! Criterion benches for the parallel batched-shot execution engine:
-//! precompiled-vs-naive single shots, and 1-vs-N-thread batch throughput on a
-//! figure-style workload. Headline numbers are recorded in
-//! `BENCH_sim_engine.json` at the repository root.
+//! Criterion benches for the parallel batched-shot execution engine: one
+//! precompiled trajectory, and 1-vs-N-thread batch throughput on a
+//! figure-style workload.
 
 use circuit::Circuit;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::DeviceModel;
 use qmath::RngSeed;
-use rand::Rng;
-use sim::{Counts, ExecutionEngine, NoiseModel, NoisySimulator, SimJob};
-
-/// The pre-engine `NoisySimulator::run` loop, verbatim: one fresh per-shot RNG,
-/// a trajectory that re-derives every op's matrices and Kraus channels from
-/// the noise model, then measurement and readout error. This is the baseline
-/// the engine's precompilation and sharding are measured against.
-fn naive_run(sim: &NoisySimulator, circuit: &Circuit, shots: usize, seed: RngSeed) -> Counts {
-    let n = circuit.num_qubits();
-    let mut counts = Counts::new(n);
-    for shot in 0..shots {
-        let mut rng = seed.child(shot as u64).rng();
-        let state = sim.run_trajectory(circuit, &mut rng);
-        let mut outcome = state.sample_measurement(&mut rng);
-        for q in 0..n {
-            let p = sim.noise().readout_error(q);
-            if p > 0.0 && rng.gen_bool(p) {
-                outcome ^= 1 << (n - 1 - q);
-            }
-        }
-        counts.record(outcome);
-    }
-    counts
-}
+use sim::{ExecutionEngine, NoiseModel, PrecompiledCircuit, SimJob};
 
 /// A fig6/fig9-style workload: several QV circuits on a calibrated device
 /// region, thousands of shots each.
@@ -47,21 +23,10 @@ fn fig_workload(circuits: usize, n: usize) -> (Vec<Circuit>, NoiseModel) {
 
 fn bench_single_shot(c: &mut Criterion) {
     let (circuits, noise) = fig_workload(1, 4);
-    let circuit = &circuits[0];
-    let sim = NoisySimulator::new(noise);
-    let pre = sim.precompile(circuit);
+    let pre = PrecompiledCircuit::new(&circuits[0], &noise);
     let mut group = c.benchmark_group("single_shot");
     group.sample_size(200);
-    // Naive: rebuilds (and completeness-checks) every op's channels in-shot.
-    group.bench_function("naive", |b| {
-        let mut shot = 0u64;
-        b.iter(|| {
-            shot += 1;
-            let mut rng = RngSeed(7).child(shot).rng();
-            sim.run_trajectory(circuit, &mut rng)
-        });
-    });
-    // Precompiled: channels were built once, the shot only samples them.
+    // Channels were built once; the shot only samples them.
     group.bench_function("precompiled", |b| {
         let mut shot = 0u64;
         b.iter(|| {
@@ -81,23 +46,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
         .enumerate()
         .map(|(i, circ)| SimJob::noisy(circ.clone(), noise.clone(), shots, RngSeed(i as u64)))
         .collect();
-    let sims: Vec<NoisySimulator> = circuits
-        .iter()
-        .map(|_| NoisySimulator::new(noise.clone()))
-        .collect();
     let mut group = c.benchmark_group("fig_workload_throughput");
     group.sample_size(10);
-    // The pre-engine loop: serial circuits, serial shots, per-shot channels.
-    group.bench_function("naive_loop", |b| {
-        b.iter(|| {
-            circuits
-                .iter()
-                .zip(sims.iter())
-                .enumerate()
-                .map(|(i, (circ, sim))| naive_run(sim, circ, shots, RngSeed(i as u64)))
-                .collect::<Vec<_>>()
-        });
-    });
     for threads in [1usize, 2, 8] {
         let engine = ExecutionEngine::builder().threads(threads).build().unwrap();
         group.bench_with_input(

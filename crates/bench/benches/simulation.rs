@@ -8,7 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
-use sim::{FusionPolicy, IdealSimulator, NoiseModel, NoisySimulator, PrecompiledCircuit};
+use sim::{
+    ExecutionEngine, FusionPolicy, NoiseModel, PrecompiledCircuit, SeedPolicy, SimJob, StateVector,
+};
 
 fn bench_statevector_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ideal_simulation");
@@ -16,7 +18,7 @@ fn bench_statevector_scaling(c: &mut Criterion) {
     for n in [4usize, 8, 12] {
         let circuit = apps::workloads::qv_circuit(n, RngSeed(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &circuit, |b, circ| {
-            b.iter(|| IdealSimulator::probabilities(circ));
+            b.iter(|| StateVector::evolve(circ).probabilities());
         });
     }
     group.finish();
@@ -28,12 +30,19 @@ fn bench_noisy_trajectories(c: &mut Criterion) {
     let sub = device.subdevice(&region);
     let circuit = apps::workloads::qaoa_circuit(4, RngSeed(2));
     let noise = NoiseModel::from_device(&sub);
-    let sim = NoisySimulator::new(noise);
+    // The engine the workspace's pinned noisy counts come from: per-shot
+    // streams over the unfused lowering.
+    let engine = ExecutionEngine::builder()
+        .seed_policy(SeedPolicy::PerShot)
+        .fusion(FusionPolicy::Off)
+        .build()
+        .expect("the default engine with per-shot streams is a valid configuration");
     let mut group = c.benchmark_group("noisy_simulation");
     group.sample_size(10);
     for shots in [50usize, 200] {
-        group.bench_with_input(BenchmarkId::from_parameter(shots), &shots, |b, &shots| {
-            b.iter(|| sim.run(&circuit, shots, RngSeed(3)));
+        let job = SimJob::noisy(circuit.clone(), noise.clone(), shots, RngSeed(3));
+        group.bench_with_input(BenchmarkId::from_parameter(shots), &job, |b, job| {
+            b.iter(|| engine.run_job(job));
         });
     }
     group.finish();
@@ -53,15 +62,17 @@ fn bench_compile_pipeline(c: &mut Criterion) {
                 compiler.compile(&suite[0].circuit).expect("circuit fits")
             });
         });
-        // Reused compiler: after the first iteration every decomposition is a
-        // cache hit — the service's steady-state cost.
+        // Reused compiler, compiled once before timing: every decomposition
+        // is a cache hit — the service's steady-state cost.
         let warm = compiler_for(&device, &set, &options).expect("valid configuration");
+        warm.compile(&suite[0].circuit).expect("circuit fits");
         group.bench_with_input(BenchmarkId::new("qv3_warm", set.name()), &set, |b, _| {
             b.iter(|| warm.compile(&suite[0].circuit).expect("circuit fits"));
         });
     }
     let qaoa = qaoa_suite(3, 1, RngSeed(6));
     let g3 = compiler_for(&device, &InstructionSet::g(3), &options).expect("valid configuration");
+    g3.compile(&qaoa[0].circuit).expect("circuit fits");
     group.bench_function("qaoa3_G3_warm", |b| {
         b.iter(|| g3.compile(&qaoa[0].circuit).expect("circuit fits"));
     });

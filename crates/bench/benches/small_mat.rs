@@ -7,7 +7,6 @@
 //!   operations that dominate the NuOp objective function.
 //! * **Cold decomposition** — a full `decompose_fixed` run on a Haar-random
 //!   SU(4), the end-to-end hot path the `DecompositionCache` cannot help with.
-//!   Compare against the PR3 baseline recorded in `BENCH_small_mat.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gates::{standard, GateType};
@@ -76,8 +75,7 @@ fn bench_objective_eval(c: &mut Criterion) {
 }
 
 /// Cold decomposition of a Haar-random SU(4): the full optimizer pipeline on
-/// top of the small-matrix kernel. This is the number to compare against the
-/// PR3 `CMatrix` baseline in `BENCH_small_mat.json`.
+/// top of the small-matrix kernel.
 fn bench_cold_decompose(c: &mut Criterion) {
     let mut rng = RngSeed(1).rng();
     let target = haar_random_su4(&mut rng);

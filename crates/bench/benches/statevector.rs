@@ -6,8 +6,7 @@
 //! both sides of `FOLD_MIN_QUBITS`, the four amplitude kernels (sweeps and
 //! read passes) on low and high targets, `Safe` and `Aggressive` lowering of
 //! NuOp-compiled QAOA circuits, and the serial-vs-threaded sweep crossover
-//! used to calibrate `PARALLEL_SWEEP_MIN_QUBITS`. Headline numbers are
-//! recorded in `BENCH_statevector.json` at the repository root.
+//! used to calibrate `PARALLEL_SWEEP_MIN_QUBITS`.
 
 use apps::workloads::qaoa_circuit;
 use circuit::{Circuit, Operation};
@@ -16,7 +15,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::{Complex, Mat2, Mat4, RngSeed};
-use sim::{FusionPolicy, NoiseModel, PrecompiledCircuit, PrecompiledKind, StateVector};
+use sim::{
+    FusionPolicy, NoiseModel, PrecompiledCircuit, PrecompiledKind, StateVector,
+    PARALLEL_SWEEP_MIN_QUBITS,
+};
 
 const NUM_QUBITS: usize = 20;
 
@@ -148,7 +150,7 @@ fn bench_trajectory_grid(c: &mut Criterion) {
             b.iter(|| pre.run_trajectory(&mut RngSeed(1).rng()));
         });
         group.bench_with_input(BenchmarkId::new(label, "parallel4"), pre, |b, pre| {
-            b.iter(|| pre.run_trajectory_threaded(&mut RngSeed(1).rng(), 4));
+            b.iter(|| pre.run_trajectory_with(&mut RngSeed(1).rng(), 4, PARALLEL_SWEEP_MIN_QUBITS));
         });
     }
     group.finish();

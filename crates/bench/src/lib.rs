@@ -19,7 +19,7 @@ use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
 use serde::{Deserialize, Serialize};
-use sim::{Counts, ExecutionEngine, FusionPolicy, IdealSimulator, NoiseModel, SimJob};
+use sim::{Counts, ExecutionEngine, FusionPolicy, NoiseModel, SimJob, StateVector};
 use std::sync::Arc;
 use telemetry::Collector;
 
@@ -230,23 +230,19 @@ pub fn write_trace_or_exit(sink: &Option<TraceSink>) {
     }
 }
 
-/// Builds the simulation engine the figure binaries share, honouring two
+/// Builds the simulation engine the figure binaries share, honouring three
 /// optional command-line knobs:
 ///
 /// - `--fusion off|safe` — gate-fusion policy jobs are lowered under
 ///   (default `safe`; never changes counts, see `sim::precompiled`).
 /// - `--sim-threads N` — worker-thread cap for the engine (default: the
 ///   machine's available parallelism). Thread count never changes results.
+/// - `--trace <path>` — builds the engine with the sink's collector
+///   attached, so its precompile / simulate / shard spans land in the
+///   written trace.
 ///
 /// Malformed values (`--fusion blah`, `--sim-threads x`, `--sim-threads 0`)
 /// print a clear message to stderr and exit with status 2.
-pub fn engine_from_args() -> ExecutionEngine {
-    exit_on_arg_error(engine_from_arg_list(&std::env::args().collect::<Vec<_>>()))
-}
-
-/// [`engine_from_args`] plus `--trace <path>`: when a trace is requested the
-/// engine is built with the sink's collector attached, so its precompile /
-/// simulate / shard spans land in the written trace.
 pub fn engine_and_trace_from_args() -> (ExecutionEngine, Option<TraceSink>) {
     exit_on_arg_error(engine_and_trace_from_arg_list(
         &std::env::args().collect::<Vec<_>>(),
@@ -262,7 +258,8 @@ pub fn engine_and_trace_from_arg_list(
     Ok((engine_from_arg_list_with(args, collector)?, sink))
 }
 
-/// [`engine_from_args`] over an explicit argument list (testable core).
+/// The engine half of [`engine_and_trace_from_arg_list`], without a trace
+/// sink (testable core).
 pub fn engine_from_arg_list(args: &[String]) -> Result<ExecutionEngine, ArgError> {
     engine_from_arg_list_with(args, None)
 }
@@ -473,7 +470,7 @@ pub fn sim_job(compiled: &CompiledCircuit, shots: usize, seed: RngSeed) -> SimJo
 /// ideal distribution of its logical circuit.
 pub fn score_counts(bench: &BenchCircuit, compiled: &CompiledCircuit, counts: &Counts) -> f64 {
     let logical = compiled.logical_counts(counts);
-    let ideal = IdealSimulator::probabilities(&bench.circuit.without_measurements());
+    let ideal = StateVector::evolve(&bench.circuit.without_measurements()).probabilities();
     match bench.metric {
         Metric::Hop => heavy_output_probability(&logical, &ideal),
         Metric::Xed => cross_entropy_difference(&logical, &ideal),
@@ -483,32 +480,6 @@ pub fn score_counts(bench: &BenchCircuit, compiled: &CompiledCircuit, counts: &C
             bench.expected_outcome.expect("expected outcome set"),
         ),
     }
-}
-
-/// Simulates and scores one compiled benchmark circuit (a single-job
-/// [`ExecutionEngine`] run; suites should prefer
-/// [`evaluate_set`] / [`ExecutionEngine::run_batch`]).
-pub fn score_compiled(
-    bench: &BenchCircuit,
-    compiled: &CompiledCircuit,
-    shots: usize,
-    seed: RngSeed,
-) -> f64 {
-    let result = ExecutionEngine::new().run_job(&sim_job(compiled, shots, seed));
-    score_counts(bench, compiled, &result.counts)
-}
-
-/// Compiles, simulates and scores one benchmark circuit with a reusable
-/// compiler service.
-pub fn run_circuit(
-    bench: &BenchCircuit,
-    compiler: &Compiler,
-    shots: usize,
-    seed: RngSeed,
-) -> Result<(f64, CompiledCircuit), CompileError> {
-    let compiled = compiler.compile(&bench.circuit)?;
-    let metric = score_compiled(bench, &compiled, shots, seed);
-    Ok((metric, compiled))
 }
 
 /// Evaluates an instruction set over a whole suite with a default-configured
@@ -585,20 +556,6 @@ pub fn print_results(title: &str, metric: Metric, results: &[SetResult]) {
     for r in results {
         println!(
             "{:<10} {:>14.4} {:>12.1} {:>10.1} {:>12.4}",
-            r.set, r.mean_metric, r.mean_two_qubit_gates, r.mean_swaps, r.mean_estimated_fidelity
-        );
-    }
-}
-
-/// Prints results as CSV (for plotting).
-pub fn print_csv(metric: Metric, results: &[SetResult]) {
-    println!(
-        "set,{},two_qubit_gates,swaps,estimated_fidelity",
-        metric.name().replace(' ', "_")
-    );
-    for r in results {
-        println!(
-            "{},{:.6},{:.3},{:.3},{:.6}",
             r.set, r.mean_metric, r.mean_two_qubit_gates, r.mean_swaps, r.mean_estimated_fidelity
         );
     }

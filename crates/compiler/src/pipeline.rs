@@ -129,7 +129,7 @@ mod tests {
     use apps::workloads::{qaoa_circuit, qft_echo_circuit, qv_circuit};
     use gates::InstructionSet;
     use qmath::RngSeed;
-    use sim::{IdealSimulator, NoiseModel, NoisySimulator};
+    use sim::{ExecutionEngine, FusionPolicy, NoiseModel, SeedPolicy, SimJob, StateVector};
 
     fn quick_options() -> CompilerOptions {
         CompilerOptions {
@@ -175,9 +175,9 @@ mod tests {
         let device = DeviceModel::ideal(3, 1.0);
         let circ = qaoa_circuit(3, RngSeed(3));
         let compiled = compiled_with(&circ, &device, InstructionSet::s(3));
-        let ideal = IdealSimulator::probabilities(&circ.without_measurements());
+        let ideal = StateVector::evolve(&circ.without_measurements()).probabilities();
         let compiled_probs =
-            IdealSimulator::probabilities(&compiled.circuit.without_measurements());
+            StateVector::evolve(&compiled.circuit.without_measurements()).probabilities();
         // Undo the layout permutation and compare distributions.
         let mut remapped = vec![0.0; ideal.len()];
         for (idx, p) in compiled_probs.iter().enumerate() {
@@ -211,7 +211,18 @@ mod tests {
         let compiled = compiled_with(&circ, &device, InstructionSet::r(2));
         // Noiseless execution must return the expected outcome deterministically.
         let noiseless = NoiseModel::noiseless(&compiled.subdevice);
-        let counts = NoisySimulator::new(noiseless).run(&compiled.circuit, 64, RngSeed(8));
+        let counts = ExecutionEngine::builder()
+            .seed_policy(SeedPolicy::PerShot)
+            .fusion(FusionPolicy::Off)
+            .build()
+            .unwrap()
+            .run_job(&SimJob::noisy(
+                compiled.circuit.clone(),
+                noiseless,
+                64,
+                RngSeed(8),
+            ))
+            .counts;
         let logical = compiled.logical_counts(&counts);
         // The compiler targets the (noisy) Aspen-8 calibration, so the
         // approximate decompositions are intentionally inexact; the expected

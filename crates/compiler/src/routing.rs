@@ -175,8 +175,8 @@ mod tests {
         c.push(Operation::h(2));
         c.measure_all();
         let routed = try_route(&c, &device, &[0, 1, 2]).unwrap();
-        let ideal = sim::IdealSimulator::probabilities(&c);
-        let routed_probs = sim::IdealSimulator::probabilities(&routed.circuit);
+        let ideal = sim::StateVector::evolve(&c).probabilities();
+        let routed_probs = sim::StateVector::evolve(&routed.circuit).probabilities();
         for (physical_outcome, &p) in routed_probs.iter().enumerate() {
             let logical = routed.logical_outcome(physical_outcome);
             assert!(

@@ -132,19 +132,6 @@ impl NuOpPass {
         &self.cache
     }
 
-    /// Decomposes a single two-qubit unitary for the physical pair `(q0, q1)`,
-    /// returning the decomposition and the chosen gate-type name.
-    pub fn decompose_operation(
-        &self,
-        target: &CMatrix,
-        q0: QubitId,
-        q1: QubitId,
-        provider: &dyn HardwareFidelityProvider,
-    ) -> (Decomposition, String) {
-        let (decomposition, gate, _hit) = self.decompose_cached(target, q0, q1, provider);
-        (decomposition, gate)
-    }
-
     /// Cache-aware decomposition; the flag reports whether the result was a
     /// cache hit. Concurrent workers missing on the same key coordinate so
     /// the numerical optimization runs once (see

@@ -143,11 +143,6 @@ pub fn iswap() -> Mat4 {
     ])
 }
 
-/// Two-qubit identity.
-pub fn identity2q() -> Mat4 {
-    Mat4::identity()
-}
-
 /// Controlled-phase gate `CZ(φ) = diag(1, 1, 1, e^{iφ})`.
 ///
 /// QFT circuits are built from `CZ(π/2^t)` gates.
@@ -192,11 +187,6 @@ pub fn xx_plus_yy_interaction(t: f64) -> Mat4 {
         Complex::ZERO,
         Complex::ONE,
     ])
-}
-
-/// Embeds two single-qubit unitaries as `a ⊗ b` on two qubits.
-pub fn kron2(a: &Mat2, b: &Mat2) -> Mat4 {
-    a.kron(b)
 }
 
 #[cfg(test)]

@@ -62,19 +62,6 @@ impl CMatrix {
         }
     }
 
-    /// Creates a rectangular matrix from a row-major slice.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_shape(rows: usize, cols: usize, data: &[Complex]) -> Self {
-        assert_eq!(data.len(), rows * cols, "expected {} entries", rows * cols);
-        CMatrix {
-            rows,
-            cols,
-            data: data.to_vec(),
-        }
-    }
-
     /// Creates a square matrix from a row-major slice of real entries.
     pub fn from_real(n: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), n * n, "expected {} entries", n * n);
@@ -121,12 +108,6 @@ impl CMatrix {
     #[inline]
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Borrow the underlying row-major storage.
-    #[inline]
-    pub fn as_slice(&self) -> &[Complex] {
-        &self.data
     }
 
     /// Element access returning `None` when out of bounds.

@@ -11,9 +11,9 @@
 //! * `server` — the [`server::JobServer`] with its work-stealing pool and
 //!   per-tenant caches, driven closed-loop at a bounded in-flight window.
 //!
-//! Per-request latency (p50/p99) and jobs/sec go to `BENCH_server.json`
-//! (default; `--out` overrides). `--smoke` runs a tiny mix and writes no
-//! file unless `--out` is given — that is what CI runs.
+//! Per-request latency (p50/p99) and jobs/sec are printed; `--out <path>`
+//! also writes them, with the server's metrics, as JSON. `--smoke` runs a
+//! tiny mix — that is what CI runs.
 //!
 //! `--telemetry on|off` controls whether the server run records spans and
 //! per-stage latency histograms (default: on in full mode, off in smoke).
@@ -380,12 +380,7 @@ fn main() {
         eprintln!("replay: warning: server did not beat serial_cold on this tiny smoke mix");
     }
 
-    let out = match (&config.out, config.smoke) {
-        (Some(path), _) => Some(path.clone()),
-        (None, false) => Some("BENCH_server.json".to_string()),
-        (None, true) => None,
-    };
-    if let Some(path) = out {
+    if let Some(path) = &config.out {
         let json = render_json(
             &config,
             &requests,
@@ -397,7 +392,7 @@ fn main() {
             probe_isolated,
             &metrics_json,
         );
-        std::fs::write(&path, json).expect("write benchmark output");
+        std::fs::write(path, json).expect("write benchmark output");
         println!("wrote {path}");
     }
 }

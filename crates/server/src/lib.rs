@@ -33,8 +33,9 @@
 //!   Chrome Trace Event JSON loadable in Perfetto.
 //!
 //! The `replay` binary (`cargo run --release -p server --bin replay`) replays
-//! a recorded request mix against the server and a serial baseline, writing
-//! p50/p99 latency and jobs/sec to `BENCH_server.json`.
+//! a recorded request mix against the server and a serial baseline and
+//! prints p50/p99 latency and jobs/sec (`--out <path>` also writes them as
+//! JSON).
 //!
 //! ```
 //! use device::DeviceModel;

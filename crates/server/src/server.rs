@@ -14,13 +14,11 @@ use device::DeviceModel;
 use nuop_core::DecompositionCache;
 use parking_lot::Mutex;
 use qmath::RngSeed;
-use sim::{ExecutionEngine, FusionPolicy, NoiseModel, SimJob};
+use sim::{ExecutionEngine, NoiseModel, SimJob};
 use telemetry::{Collector, Span, SpanId};
 
 use crate::error::ServerError;
-use crate::metrics::{
-    fusion_index, latency_stats, MetricsSnapshot, ServerMetrics, TenantCacheStats,
-};
+use crate::metrics::{latency_stats, MetricsSnapshot, ServerMetrics, TenantCacheStats};
 use crate::queue::{Scheduler, SubmitError};
 use crate::wire::{JobOp, JobRequest, JobResponse, SimSummary, WorkloadKind};
 
@@ -85,15 +83,11 @@ struct Shared {
     options: CompilerOptions,
     tenant_cache_capacity: usize,
     engine: ExecutionEngine,
-    /// Engine variants sharing the base engine's configuration but pinned to
-    /// one fusion policy each (indexed by [`fusion_index`]); serves requests
-    /// that name a policy on the wire.
-    fusion_engines: [ExecutionEngine; 3],
     validate: bool,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
     metrics: ServerMetrics,
     /// Telemetry sink shared by the server, its per-tenant compilers and its
-    /// engines; `None` when the server was built without telemetry.
+    /// engine; `None` when the server was built without telemetry.
     collector: Option<Arc<Collector>>,
 }
 
@@ -187,10 +181,7 @@ impl Shared {
         let sim = match request.op {
             JobOp::Compile => None,
             JobOp::Simulate { shots } => {
-                let engine = match request.fusion {
-                    None => &self.engine,
-                    Some(policy) => &self.fusion_engines[fusion_index(policy)],
-                };
+                let fusion = request.fusion.unwrap_or(self.engine.fusion());
                 let noise = NoiseModel::from_device(&compiled.subdevice);
                 let job = SimJob::noisy(
                     compiled.circuit.clone(),
@@ -198,13 +189,13 @@ impl Shared {
                     shots,
                     RngSeed(request.seed),
                 );
-                let result = engine.run_job_in_span(&job, job_id);
+                let result = self.engine.run_job_in_span(&job, fusion, job_id);
                 // Account simulation by the simulate phase alone: the
                 // report's total also includes precompilation (lowering and
                 // validation), which belongs to neither shots/sec nor the
                 // simulate latency histogram.
                 self.metrics
-                    .record_simulate(result.report.simulate, shots, engine.fusion());
+                    .record_simulate(result.report.simulate, shots, fusion);
                 self.record_latency("simulate", result.report.simulate);
                 if self.validate {
                     let diagnostics: Vec<_> = result
@@ -219,7 +210,7 @@ impl Shared {
                     shots,
                     simulate_micros: result.report.simulate.as_micros() as u64,
                     distinct_outcomes: result.counts.iter().filter(|(_, c)| *c > 0).count(),
-                    fusion: engine.fusion(),
+                    fusion,
                 })
             }
         };
@@ -586,7 +577,7 @@ impl ServerBuilder {
     }
 
     /// Attaches a telemetry collector (default none). The collector is
-    /// shared with every per-tenant compiler and every engine variant, so
+    /// shared with every per-tenant compiler and the engine, so
     /// one trace carries the full job → stage → shard span tree, and
     /// [`JobServer::metrics_json`] grows per-stage latency histograms.
     /// Telemetry costs nothing until [`Collector::set_enabled`] turns the
@@ -616,7 +607,7 @@ impl ServerBuilder {
                 .build()
                 .expect("one thread and the default chunk size are a valid config")
         });
-        // When the server carries a collector, rebuild the base engine from
+        // When the server carries a collector, rebuild the engine from
         // its own knobs with the collector attached, so engine-side spans
         // (precompile / simulate / shard) land in the same trace as the
         // server's job spans.
@@ -633,36 +624,12 @@ impl ServerBuilder {
                 .unwrap_or_else(|_| engine.clone()),
             None => engine,
         };
-        // One engine variant per fusion policy, inheriting every other knob
-        // from the base engine, so wire requests can pick their policy without
-        // the server rebuilding engines per job. A built engine's knobs are
-        // already a valid config, so the fallback arm is unreachable; it
-        // degrades to the base engine (and its policy) rather than panicking.
-        let fusion_engines = [
-            FusionPolicy::Off,
-            FusionPolicy::Safe,
-            FusionPolicy::Aggressive,
-        ]
-        .map(|policy| {
-            let mut builder = ExecutionEngine::builder()
-                .threads(engine.threads())
-                .shot_chunk_size(engine.shot_chunk_size())
-                .seed_policy(engine.seed_policy())
-                .fusion(policy)
-                .validate(engine.validate())
-                .parallel_sweep_min_qubits(engine.parallel_sweep_min_qubits());
-            if let Some(collector) = &self.telemetry {
-                builder = builder.telemetry(Arc::clone(collector));
-            }
-            builder.build().unwrap_or_else(|_| engine.clone())
-        });
         let shared = Arc::new(Shared {
             scheduler: Scheduler::new(self.workers, self.queue_capacity),
             device: self.device,
             options,
             tenant_cache_capacity: self.tenant_cache_capacity,
             engine,
-            fusion_engines,
             validate: self.validate,
             tenants: Mutex::new(HashMap::new()),
             metrics: ServerMetrics::default(),
@@ -684,6 +651,7 @@ impl ServerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::FusionPolicy;
 
     fn test_server(workers: usize) -> JobServer {
         JobServer::builder(DeviceModel::ideal(3, 0.99))
@@ -830,8 +798,8 @@ mod tests {
         assert!(server
             .metrics_json()
             .contains("\"sim_fusion_aggressive\": 1"));
-        // A request that leaves fusion unset runs on the server's base engine
-        // (Safe by default) and is counted under that policy.
+        // A request that leaves fusion unset runs under the server engine's
+        // own policy (Safe by default) and is counted under that policy.
         let ticket = server
             .submit_request(JobRequest {
                 op: JobOp::Simulate { shots: 16 },

@@ -81,9 +81,9 @@ pub struct JobRequest {
     pub seed: u64,
     /// Compile only, or compile then simulate.
     pub op: JobOp,
-    /// Gate-fusion policy for the simulation engine. `None` uses the server's
-    /// configured engine unchanged; `Some` selects the engine variant running
-    /// that policy (`"off"`, `"safe"` or `"aggressive"` on the wire).
+    /// Gate-fusion policy the circuit is lowered under. `None` uses the
+    /// server engine's own policy; `Some` overrides it for this request
+    /// (`"off"`, `"safe"` or `"aggressive"` on the wire).
     pub fusion: Option<FusionPolicy>,
 }
 

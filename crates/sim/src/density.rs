@@ -1,6 +1,6 @@
 //! Exact density-matrix simulation for small registers.
 //!
-//! The trajectory sampler in [`crate::runner`] is the scalable path; this
+//! The trajectory sampler of [`crate::engine`] is the scalable path; this
 //! module provides the exact channel evolution `ρ → Σ_i K_i ρ K_i†` used to
 //! validate it (see `tests/sim_agreement.rs` at the workspace root).
 

@@ -6,8 +6,8 @@
 //!
 //! 1. each job's circuit is lowered **once** into a
 //!    [`PrecompiledCircuit`] — per-op `Mat2`/`Mat4` kernels plus prebuilt,
-//!    completeness-checked Kraus channels — removing the ~shots× redundant
-//!    channel construction of the naive per-shot path; under the default
+//!    completeness-checked Kraus channels — so no shot rebuilds a matrix or a
+//!    channel; under the default
 //!    [`FusionPolicy::Safe`] adjacent ops are additionally **fused** into
 //!    single kernels wherever no RNG-consuming channel separates them (see
 //!    [`crate::precompiled`]), and
@@ -33,10 +33,7 @@
 //! depend only on the configured [shot-chunk size](EngineBuilder::shot_chunk_size),
 //! never on how many workers happen to run, and every shard derives its own
 //! ChaCha stream from `(seed, shard_index)` (the [`SeedPolicy::PerShard`]
-//! default) or `(seed, shot_index)` ([`SeedPolicy::PerShot`], which reproduces
-//! the historical single-threaded `NoisySimulator::run` bit for bit below
-//! [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits, and to rounding of the
-//! amplitudes from that width on, where trajectories run pair runs).
+//! default) or `(seed, shot_index)` ([`SeedPolicy::PerShot`]).
 //! Merged histograms are sums, so the merge order cannot be observed either.
 //!
 //! # Example
@@ -129,11 +126,11 @@ pub enum SeedPolicy {
     /// (one RNG initialization per chunk) and the engine default.
     #[default]
     PerShard,
-    /// One ChaCha stream per **shot**, derived from `(seed, shot_index)`.
-    /// Reproduces the historical single-threaded `NoisySimulator::run`
-    /// bit for bit below [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits
-    /// (to rounding of the amplitudes from that width on); use it when
-    /// comparing against pre-engine pinned results.
+    /// One ChaCha stream per **shot**, derived from `(seed, shot_index)`, so
+    /// a shot's outcome depends only on its index and not on the
+    /// [shot-chunk size](EngineBuilder::shot_chunk_size). The workspace's
+    /// pinned noisy counts are sampled this way, over the unfused
+    /// ([`FusionPolicy::Off`]) lowering.
     PerShot,
 }
 
@@ -469,39 +466,42 @@ impl ExecutionEngine {
     pub fn run_batch(&self, jobs: &[SimJob]) -> Vec<SimResult> {
         let mut cache: Option<NoiselessCache> = None;
         jobs.iter()
-            .map(|job| self.run_job_cached(job, &mut cache, SpanId::NONE))
+            .map(|job| self.run_job_cached(job, self.fusion, &mut cache, SpanId::NONE))
             .collect()
     }
 
     /// Runs a single job.
     pub fn run_job(&self, job: &SimJob) -> SimResult {
-        self.run_job_cached(job, &mut None, SpanId::NONE)
+        self.run_job_cached(job, self.fusion, &mut None, SpanId::NONE)
     }
 
-    /// Like [`ExecutionEngine::run_job`], but records the precompile,
-    /// simulate and shard telemetry spans as children of `parent` (the
-    /// caller's job span). With no collector configured — or a disabled one —
-    /// this is exactly `run_job`.
-    pub fn run_job_in_span(&self, job: &SimJob, parent: SpanId) -> SimResult {
-        self.run_job_cached(job, &mut None, parent)
+    /// Like [`ExecutionEngine::run_job`], but lowers the job under `fusion`
+    /// instead of the engine's [own policy](ExecutionEngine::fusion), and
+    /// records the precompile, simulate and shard telemetry spans as children
+    /// of `parent` (the caller's job span). With the engine's own policy and
+    /// no collector configured — or a disabled one — this is exactly
+    /// `run_job`.
+    pub fn run_job_in_span(&self, job: &SimJob, fusion: FusionPolicy, parent: SpanId) -> SimResult {
+        self.run_job_cached(job, fusion, &mut None, parent)
     }
 
     fn run_job_cached(
         &self,
         job: &SimJob,
+        fusion: FusionPolicy,
         cache: &mut Option<NoiselessCache>,
         parent: SpanId,
     ) -> SimResult {
         let mut precompile_span = Span::enter_child(self.telemetry.as_ref(), "precompile", parent);
         let pre = match &job.noise {
-            Some(noise) => PrecompiledCircuit::with_fusion(&job.circuit, noise, self.fusion),
-            None => PrecompiledCircuit::ideal_with_fusion(&job.circuit, self.fusion),
+            Some(noise) => PrecompiledCircuit::with_fusion(&job.circuit, noise, fusion),
+            None => PrecompiledCircuit::ideal_with_fusion(&job.circuit, fusion),
         };
         let diagnostics = if self.validate {
             // The fusion rules need the unfused stream to compare against;
             // under FusionPolicy::Off the lowered stream is its own baseline
             // and only the per-op rules (unitarity, completeness) apply.
-            let baseline = match self.fusion {
+            let baseline = match fusion {
                 FusionPolicy::Safe | FusionPolicy::Aggressive => Some(match &job.noise {
                     Some(noise) => PrecompiledCircuit::new(&job.circuit, noise),
                     None => PrecompiledCircuit::ideal(&job.circuit),
@@ -512,7 +512,7 @@ impl ExecutionEngine {
             // Aggressive fusion reorders RNG draws, so counts are only
             // *distributionally* equal to Safe — cross-check a small sample
             // statistically instead of bit-wise.
-            if self.fusion == FusionPolicy::Aggressive {
+            if fusion == FusionPolicy::Aggressive {
                 out.extend(self.tvd_check(job, &pre));
             }
             out
@@ -563,8 +563,8 @@ impl ExecutionEngine {
     }
 
     /// Runs `shots` shots of an already-lowered circuit. Use this to amortize
-    /// lowering across repeated runs of the same circuit (the single-job
-    /// wrappers in [`crate::runner`] and the benches do).
+    /// lowering across repeated runs of the same circuit (the
+    /// Aggressive-validation cross-check and the benches do).
     pub fn run_precompiled(
         &self,
         pre: &PrecompiledCircuit,
@@ -930,7 +930,7 @@ mod tests {
         // A noiseless *noisy-model* job takes the cached-state fast path;
         // forcing the general path by attaching readout error must leave the
         // underlying trajectory statistics unchanged. Here we check the fast
-        // path against the per-shot policy's legacy-compatible stream.
+        // path against the per-shot policy's stream.
         let device = DeviceModel::ideal(2, 1.0);
         let job = SimJob::noisy(
             bell_circuit(),
@@ -945,7 +945,7 @@ mod tests {
             .unwrap()
             .run_job(&job);
         // Reference: run every trajectory explicitly with the same per-shot
-        // streams (the historical code path).
+        // streams (the general path: one trajectory per shot).
         let pre = PrecompiledCircuit::new(&job.circuit, job.noise.as_ref().unwrap());
         let mut reference = Counts::new(2);
         for shot in 0..400u64 {
@@ -984,7 +984,7 @@ mod tests {
         let job = noisy_job(200, 37);
         let job_span = Span::enter(Some(&collector), "job");
         let job_id = job_span.id();
-        let result = engine.run_job_in_span(&job, job_id);
+        let result = engine.run_job_in_span(&job, engine.fusion(), job_id);
         job_span.finish();
 
         let spans = collector.completed_spans();

@@ -25,10 +25,12 @@
 //! * [`engine`] — the parallel batched-shot [`ExecutionEngine`]: shots are
 //!   sharded across scoped worker threads with per-shard ChaCha streams, so
 //!   counts are bit-identical regardless of thread count.
-//! * [`runner`] — Monte-Carlo trajectory execution: each shot samples one
-//!   noise realization, which converges to the density-matrix result while
-//!   scaling to 20+ qubits. [`NoisySimulator::run`] and
-//!   [`IdealSimulator::sample`] are thin single-job wrappers over the engine.
+//!   It is the one way to sample: a noisy job runs one Monte-Carlo trajectory
+//!   per shot, each sampling one noise realization, which converges to the
+//!   density-matrix result while scaling to 20+ qubits; an ideal job evolves
+//!   the state once and samples it. Ideal probabilities come from
+//!   [`StateVector::evolve`].
+//! * [`runner`] — the [`Counts`] histogram every job returns.
 //! * [`density`] — an exact density-matrix simulator for small registers, used
 //!   to validate the trajectory sampler (it consumes the same precompiled ops).
 //! * [`audit`] — a bridge to the `verify` crate's static semantic rules:
@@ -42,7 +44,7 @@
 //!
 //! ```
 //! use circuit::{Circuit, Operation};
-//! use sim::{ExecutionEngine, IdealSimulator, NoisySimulator, NoiseModel, SimJob};
+//! use sim::{ExecutionEngine, NoiseModel, SimJob, StateVector};
 //! use qmath::RngSeed;
 //!
 //! let mut bell = Circuit::new(2);
@@ -51,21 +53,17 @@
 //! bell.measure_all();
 //!
 //! // Ideal probabilities: 50/50 on |00> and |11>.
-//! let probs = IdealSimulator::probabilities(&bell);
+//! let probs = StateVector::evolve(&bell).probabilities();
 //! assert!((probs[0] - 0.5).abs() < 1e-10);
 //! assert!((probs[3] - 0.5).abs() < 1e-10);
 //!
-//! // Noisy counts still concentrate on the Bell outcomes.
+//! // Noisy counts still concentrate on the Bell outcomes; the report
+//! // carries the job's timings.
 //! let device = device::DeviceModel::ideal(2, 0.995);
 //! let noise = NoiseModel::from_device(&device);
-//! let counts = NoisySimulator::new(noise.clone()).run(&bell, 200, RngSeed(5));
-//! assert_eq!(counts.total(), 200);
-//!
-//! // The same job through the batch engine, with timings.
-//! let result = ExecutionEngine::new()
-//!     .run_batch(&[SimJob::noisy(bell, noise, 200, RngSeed(5))])
-//!     .remove(0);
+//! let result = ExecutionEngine::new().run_job(&SimJob::noisy(bell, noise, 200, RngSeed(5)));
 //! assert_eq!(result.counts.total(), 200);
+//! assert!(result.counts.probability(0) + result.counts.probability(3) > 0.9);
 //! assert!(result.report.shots_per_sec() > 0.0);
 //! ```
 
@@ -95,5 +93,5 @@ pub use precompiled::{
     AttachedChannel, FusionPolicy, PrecompiledCircuit, PrecompiledKind, PrecompiledOp,
     FOLD_MIN_QUBITS,
 };
-pub use runner::{Counts, CountsMismatch, IdealSimulator, NoisySimulator};
+pub use runner::{Counts, CountsMismatch};
 pub use statevector::{MeasurementSampler, StateVector, PARALLEL_SWEEP_MIN_QUBITS};

@@ -1,13 +1,10 @@
 //! Circuits lowered once into a simulation-ready form, with optional gate
 //! fusion.
 //!
-//! `NoisySimulator` historically re-derived everything per shot: each
-//! trajectory converted every op's `CMatrix` into its `Mat2`/`Mat4` kernel and
-//! rebuilt (and completeness-checked) every Kraus channel from the calibration
-//! data. Trajectory sampling runs thousands of shots over the same circuit, so
-//! that work was repeated ~shots× for no benefit.
-//!
-//! A [`PrecompiledCircuit`] performs that lowering exactly once:
+//! Trajectory sampling runs thousands of shots over the same circuit, so
+//! everything a shot needs that does not depend on its randomness is derived
+//! once, before the first shot. A [`PrecompiledCircuit`] performs that
+//! lowering:
 //!
 //! * every unitary is converted to its stack-allocated [`Mat2`]/[`Mat4`] form,
 //! * every op's depolarizing channel and per-qubit relaxation [`Kraus1q`]
@@ -117,7 +114,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::channels::{ArityChannel, Kraus1q, Kraus2q, KrausChannel, UnitaryMixTerm};
 use crate::noise_model::{ChannelMemo, NoiseModel};
-use crate::statevector::StateVector;
+use crate::statevector::{StateVector, PARALLEL_SWEEP_MIN_QUBITS};
 
 /// Register width, in qubits, from which trajectories run pair runs (see the
 /// [module docs](crate::precompiled)) instead of the per-channel loop.
@@ -322,8 +319,8 @@ impl PrecompiledOp {
 /// A circuit lowered once into simulation-ready ops.
 ///
 /// Build one with [`PrecompiledCircuit::new`] (noisy) or
-/// [`PrecompiledCircuit::ideal`] (no noise) — both unfused, matching the
-/// historical lowering bit for bit — or with the
+/// [`PrecompiledCircuit::ideal`] (no noise) — both unfused, one lowered op
+/// per circuit op — or with the
 /// [`with_fusion`](PrecompiledCircuit::with_fusion) /
 /// [`ideal_with_fusion`](PrecompiledCircuit::ideal_with_fusion) variants to
 /// coalesce adjacent ops first (see the [module docs](crate::precompiled)).
@@ -466,25 +463,14 @@ impl PrecompiledCircuit {
     /// after every Kraus branch; from it on, pair runs keep the norm at 1 to
     /// rounding (see the [module docs](crate::precompiled)).
     pub fn run_trajectory<R: Rng + ?Sized>(&self, rng: &mut R) -> StateVector {
-        self.run_trajectory_threaded(rng, 1)
+        self.run_trajectory_with(rng, 1, PARALLEL_SWEEP_MIN_QUBITS)
     }
 
     /// [`run_trajectory`](PrecompiledCircuit::run_trajectory) with each
-    /// amplitude sweep split across up to `threads` worker threads (see
-    /// [`StateVector::apply_one_qubit_threaded`]). Bit-identical to the serial
-    /// trajectory for any thread count.
-    pub fn run_trajectory_threaded<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        threads: usize,
-    ) -> StateVector {
-        self.run_trajectory_with(rng, threads, crate::statevector::PARALLEL_SWEEP_MIN_QUBITS)
-    }
-
-    /// [`run_trajectory_threaded`](PrecompiledCircuit::run_trajectory_threaded)
-    /// with an explicit parallel-sweep threshold (see
+    /// amplitude sweep split across up to `threads` worker threads on
+    /// registers of at least `min_parallel_qubits` qubits (see
     /// [`StateVector::apply_one_qubit_with`]). Scheduling only — bit-identical
-    /// for any `(threads, min_parallel_qubits)` pair.
+    /// to the serial trajectory for any `(threads, min_parallel_qubits)` pair.
     pub fn run_trajectory_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -502,25 +488,15 @@ impl PrecompiledCircuit {
         state
     }
 
-    /// Runs one complete shot: trajectory, measurement sample, readout error.
-    /// Randomness is consumed in the same order as the historical
-    /// `NoisySimulator::run` path, so a per-shot seeded RNG reproduces its
-    /// results bit for bit below [`FOLD_MIN_QUBITS`] qubits; from it on,
-    /// pair runs pick the same branches and the amplitudes agree to rounding.
+    /// Runs one complete shot: trajectory, measurement sample, readout error,
+    /// drawing from `rng` in that order.
     pub fn sample_shot<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.sample_shot_threaded(rng, 1)
+        self.sample_shot_with(rng, 1, PARALLEL_SWEEP_MIN_QUBITS)
     }
 
     /// [`sample_shot`](PrecompiledCircuit::sample_shot) with amplitude-sweep
-    /// parallelism (same RNG stream, bit-identical outcome for any thread
-    /// count).
-    pub fn sample_shot_threaded<R: Rng + ?Sized>(&self, rng: &mut R, threads: usize) -> usize {
-        self.sample_shot_with(rng, threads, crate::statevector::PARALLEL_SWEEP_MIN_QUBITS)
-    }
-
-    /// [`sample_shot_threaded`](PrecompiledCircuit::sample_shot_threaded) with
-    /// an explicit parallel-sweep threshold (scheduling only — bit-identical
-    /// for any `(threads, min_parallel_qubits)` pair).
+    /// parallelism (scheduling only — the same RNG stream and a bit-identical
+    /// outcome for any `(threads, min_parallel_qubits)` pair).
     pub fn sample_shot_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,

@@ -1,27 +1,11 @@
-//! Ideal and Monte-Carlo (trajectory) circuit execution.
+//! Measurement histograms: the [`Counts`] every sampling path returns.
 //!
-//! [`IdealSimulator::sample`] and [`NoisySimulator::run`] are thin single-job
-//! wrappers over the [`ExecutionEngine`]: the circuit
-//! is lowered once into a [`PrecompiledCircuit`]
-//! and the shot loop is sharded across worker threads. Use the engine
-//! directly ([`ExecutionEngine::run_batch`])
-//! when executing many circuits or when the per-job
-//! [`EngineReport`](crate::EngineReport) timings are wanted.
+//! Counts come from one place, the [`ExecutionEngine`](crate::ExecutionEngine);
+//! ideal probabilities come from [`StateVector::evolve`](crate::StateVector::evolve).
 
 use std::collections::BTreeMap;
 
-use circuit::{Circuit, OpKind};
-use qmath::RngSeed;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::channels::ArityChannel;
-use crate::engine::{ExecutionEngine, SeedPolicy};
-use crate::noise_model::NoiseModel;
-use crate::precompiled::{
-    apply_channel_1q, apply_channel_2q, op_mat2, op_mat4, FusionPolicy, PrecompiledCircuit,
-};
-use crate::statevector::StateVector;
 
 /// Error returned by [`Counts::merge`] when the two histograms cover
 /// different register sizes.
@@ -149,165 +133,31 @@ impl Counts {
     }
 }
 
-/// Noiseless execution helpers.
-pub struct IdealSimulator;
-
-impl IdealSimulator {
-    /// Runs the circuit on `|0…0⟩` and returns the final state (measurements
-    /// and barriers are ignored).
-    pub fn final_state(circuit: &Circuit) -> StateVector {
-        let mut state = StateVector::zero_state(circuit.num_qubits());
-        for op in circuit.iter() {
-            match op.kind() {
-                OpKind::Unitary1Q { matrix, .. } => {
-                    state.apply_one_qubit(&op_mat2(matrix), op.qubits()[0]);
-                }
-                OpKind::Unitary2Q { matrix, .. } => {
-                    state.apply_two_qubit(&op_mat4(matrix), op.qubits()[0], op.qubits()[1]);
-                }
-                OpKind::Measure | OpKind::Barrier => {}
-            }
-        }
-        state
-    }
-
-    /// Ideal output probability distribution of the circuit.
-    pub fn probabilities(circuit: &Circuit) -> Vec<f64> {
-        IdealSimulator::final_state(circuit).probabilities()
-    }
-
-    /// Samples `shots` measurements from the ideal distribution.
-    ///
-    /// This is a single-job wrapper over the
-    /// [`ExecutionEngine`]: the circuit is lowered with unrestricted gate
-    /// fusion (no channels exist on the ideal path), the final state is
-    /// computed once and sampling is sharded across worker threads, with
-    /// per-shard seed streams keeping the result independent of the thread
-    /// count.
-    pub fn sample(circuit: &Circuit, shots: usize, seed: RngSeed) -> Counts {
-        let pre = PrecompiledCircuit::ideal_with_fusion(circuit, FusionPolicy::Safe);
-        ExecutionEngine::new()
-            .run_precompiled(&pre, shots, seed)
-            .counts
-    }
-}
-
-/// Monte-Carlo trajectory simulator with a device noise model.
-pub struct NoisySimulator {
-    noise: NoiseModel,
-}
-
-impl NoisySimulator {
-    /// Creates a simulator for the given noise model.
-    pub fn new(noise: NoiseModel) -> Self {
-        NoisySimulator { noise }
-    }
-
-    /// The noise model in use.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    /// Lowers `circuit` under this simulator's noise model once. Reuse the
-    /// result with [`ExecutionEngine::run_precompiled`]
-    /// when the same circuit is executed repeatedly.
-    ///
-    /// The lowering is deliberately **unfused** so that, below
-    /// [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits,
-    /// [`NoisySimulator::run`]'s bit-exact match with the historical
-    /// single-threaded implementation holds by construction (from that width
-    /// on, trajectories run pair runs, which pick the same branches and
-    /// agree with it to rounding); use
-    /// [`PrecompiledCircuit::with_fusion`](crate::PrecompiledCircuit::with_fusion)
-    /// (or the engine, whose default is [`FusionPolicy::Safe`]) for the fused
-    /// lowering — `Safe` fusion leaves counts bit-identical anyway.
-    pub fn precompile(&self, circuit: &Circuit) -> PrecompiledCircuit {
-        PrecompiledCircuit::new(circuit, &self.noise)
-    }
-
-    /// Runs `shots` noisy trajectories of `circuit` and returns the measured
-    /// counts. Each trajectory applies the circuit's unitaries interleaved with
-    /// sampled Kraus operators, then samples one measurement outcome and
-    /// applies readout error.
-    ///
-    /// This is a single-job wrapper over the
-    /// [`ExecutionEngine`]: the circuit's matrices and
-    /// Kraus channels are lowered once (instead of once per shot) and the shot
-    /// loop is sharded across worker threads. The
-    /// [`SeedPolicy::PerShot`] stream derivation
-    /// keeps the counts **bit-identical** to the historical single-threaded
-    /// implementation for any `(circuit, shots, seed)` on registers below
-    /// [`FOLD_MIN_QUBITS`](crate::FOLD_MIN_QUBITS) qubits. From that width
-    /// on, trajectories run pair runs: they draw the same uniforms and pick
-    /// the same branches, and their amplitudes agree with the historical ones
-    /// to rounding.
-    pub fn run(&self, circuit: &Circuit, shots: usize, seed: RngSeed) -> Counts {
-        let pre = self.precompile(circuit);
-        ExecutionEngine::builder()
-            .seed_policy(SeedPolicy::PerShot)
-            .build()
-            .expect("default engine configuration is valid")
-            .run_precompiled(&pre, shots, seed)
-            .counts
-    }
-
-    /// Runs a single noisy trajectory and returns the (normalized) final state.
-    ///
-    /// Note: this is the *uncached* reference path — it re-derives each op's
-    /// matrices and Kraus channels on every call. It is kept as the naive
-    /// baseline for validation and the `sim_engine` benchmark; hot loops
-    /// should go through [`NoisySimulator::precompile`] /
-    /// [`PrecompiledCircuit::run_trajectory`](crate::PrecompiledCircuit::run_trajectory)
-    /// instead.
-    pub fn run_trajectory<R: Rng + ?Sized>(&self, circuit: &Circuit, rng: &mut R) -> StateVector {
-        let mut state = StateVector::zero_state(circuit.num_qubits());
-        for op in circuit.iter() {
-            match op.kind() {
-                OpKind::Unitary1Q { matrix, .. } => {
-                    state.apply_one_qubit(&op_mat2(matrix), op.qubits()[0]);
-                }
-                OpKind::Unitary2Q { matrix, .. } => {
-                    state.apply_two_qubit(&op_mat4(matrix), op.qubits()[0], op.qubits()[1]);
-                }
-                OpKind::Measure | OpKind::Barrier => {}
-            }
-            let noise = self.noise.noise_for(op);
-            match (&noise.depolarizing, op.qubits()) {
-                (Some(ArityChannel::One(channel)), [q]) => {
-                    apply_channel_1q(&mut state, channel, *q, rng);
-                }
-                (Some(ArityChannel::Two(channel)), [q0, q1]) => {
-                    apply_channel_2q(&mut state, channel, *q0, *q1, rng);
-                }
-                (None, _) => {}
-                (Some(_), qubits) => unreachable!(
-                    "noise_for returned a channel whose arity disagrees with a {}-qubit op",
-                    qubits.len()
-                ),
-            }
-            for (q, channel) in &noise.relaxation {
-                apply_channel_1q(&mut state, channel, *q, rng);
-            }
-        }
-        state
-    }
-}
-
-/// Total-variation distance between an empirical distribution (counts) and a
-/// reference probability vector.
-pub fn total_variation_distance(counts: &Counts, reference: &[f64]) -> f64 {
-    let mut tv = 0.0;
-    for (idx, p) in reference.iter().enumerate() {
-        tv += (counts.probability(idx) - p).abs();
-    }
-    tv / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use circuit::Operation;
+    use circuit::{Circuit, Operation};
     use device::DeviceModel;
+    use qmath::RngSeed;
+
+    use crate::{ExecutionEngine, FusionPolicy, NoiseModel, SeedPolicy, SimJob, StateVector};
+
+    /// Noisy counts from per-shot seed streams over the unfused lowering.
+    fn noisy_counts(circuit: &Circuit, noise: NoiseModel, shots: usize, seed: RngSeed) -> Counts {
+        ExecutionEngine::builder()
+            .seed_policy(SeedPolicy::PerShot)
+            .fusion(FusionPolicy::Off)
+            .build()
+            .unwrap()
+            .run_job(&SimJob::noisy(circuit.clone(), noise, shots, seed))
+            .counts
+    }
+
+    fn ideal_counts(circuit: &Circuit, shots: usize, seed: RngSeed) -> Counts {
+        ExecutionEngine::new()
+            .run_job(&SimJob::ideal(circuit.clone(), shots, seed))
+            .counts
+    }
 
     fn bell_circuit() -> Circuit {
         let mut c = Circuit::new(2);
@@ -319,14 +169,14 @@ mod tests {
 
     #[test]
     fn ideal_bell_probabilities() {
-        let p = IdealSimulator::probabilities(&bell_circuit());
+        let p = StateVector::evolve(&bell_circuit()).probabilities();
         assert!((p[0] - 0.5).abs() < 1e-12);
         assert!((p[3] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn ideal_sampling_matches_probabilities() {
-        let counts = IdealSimulator::sample(&bell_circuit(), 4000, RngSeed(1));
+        let counts = ideal_counts(&bell_circuit(), 4000, RngSeed(1));
         assert_eq!(counts.total(), 4000);
         assert_eq!(counts.count(1) + counts.count(2), 0);
         assert!((counts.probability(0) - 0.5).abs() < 0.05);
@@ -336,7 +186,7 @@ mod tests {
     fn noiseless_noisy_simulator_equals_ideal() {
         let device = DeviceModel::ideal(2, 1.0);
         let noise = NoiseModel::noiseless(&device);
-        let counts = NoisySimulator::new(noise).run(&bell_circuit(), 500, RngSeed(2));
+        let counts = noisy_counts(&bell_circuit(), noise, 500, RngSeed(2));
         assert_eq!(counts.count(1) + counts.count(2), 0);
     }
 
@@ -348,7 +198,7 @@ mod tests {
         let mut noise = NoiseModel::from_device(&device);
         noise.with_readout_error = false;
         noise.with_relaxation = false;
-        let counts = NoisySimulator::new(noise).run(&bell_circuit(), 2000, RngSeed(3));
+        let counts = noisy_counts(&bell_circuit(), noise, 2000, RngSeed(3));
         let good = counts.probability(0) + counts.probability(3);
         assert!(good > 0.85, "good fraction = {good}");
         assert!(good < 1.0);
@@ -362,7 +212,7 @@ mod tests {
         let noise = NoiseModel::from_device(&device);
         let mut c = Circuit::new(2);
         c.measure_all();
-        let counts = NoisySimulator::new(noise).run(&c, 2000, RngSeed(4));
+        let counts = noisy_counts(&c, noise, 2000, RngSeed(4));
         assert!(counts.count(0) < 2000);
         assert!(counts.probability(0) > 0.75);
     }
@@ -371,9 +221,8 @@ mod tests {
     fn deterministic_given_seed() {
         let device = DeviceModel::ideal(2, 0.97);
         let noise = NoiseModel::from_device(&device);
-        let sim = NoisySimulator::new(noise);
-        let a = sim.run(&bell_circuit(), 100, RngSeed(9));
-        let b = sim.run(&bell_circuit(), 100, RngSeed(9));
+        let a = noisy_counts(&bell_circuit(), noise.clone(), 100, RngSeed(9));
+        let b = noisy_counts(&bell_circuit(), noise, 100, RngSeed(9));
         assert_eq!(a, b);
     }
 
@@ -439,7 +288,6 @@ mod tests {
         // and check the excited population decays.
         let device = DeviceModel::sycamore(RngSeed(11));
         let noise = NoiseModel::from_device(&device);
-        let sim = NoisySimulator::new(noise);
         let mut c = Circuit::new(1);
         c.push(Operation::x(0));
         // Long idle: emulate with repeated measurement-duration relaxation by
@@ -450,20 +298,9 @@ mod tests {
             c.push(Operation::x(0));
         }
         c.measure_all();
-        let counts = sim.run(&c, 1000, RngSeed(12));
+        let counts = noisy_counts(&c, noise, 1000, RngSeed(12));
         let p1 = counts.probability(1);
         assert!(p1 < 0.99, "p1 = {p1}");
         assert!(p1 > 0.5, "p1 = {p1}");
-    }
-
-    #[test]
-    fn total_variation_distance_bounds() {
-        let counts = IdealSimulator::sample(&bell_circuit(), 2000, RngSeed(5));
-        let ideal = IdealSimulator::probabilities(&bell_circuit());
-        let tv = total_variation_distance(&counts, &ideal);
-        assert!(tv < 0.05, "tv = {tv}");
-        let uniform = vec![0.25; 4];
-        let tv_uniform = total_variation_distance(&counts, &uniform);
-        assert!(tv_uniform > 0.4);
     }
 }

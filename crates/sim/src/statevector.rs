@@ -61,10 +61,12 @@
 
 use std::ops::Range;
 
-use circuit::QubitId;
+use circuit::{Circuit, OpKind, QubitId};
 use qmath::{Complex, Mat2, Mat4, SmallMat};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::precompiled::{op_mat2, op_mat4};
 
 /// Number of qubits at or above which the `apply_*_threaded` sweeps split the
 /// amplitude space across worker threads. Below this (≤ 8192 amplitudes) the
@@ -603,6 +605,30 @@ impl StateVector {
         s.amplitudes[0] = Complex::ZERO;
         s.amplitudes[basis_index] = Complex::ONE;
         s
+    }
+
+    /// The ideal final state of `circuit` run on `|0…0⟩`: each unitary is
+    /// applied in circuit order, one sweep per gate (measurements and
+    /// barriers are ignored). The noiseless counterpart of
+    /// [`DensityMatrix::evolve`](crate::DensityMatrix::evolve).
+    ///
+    /// Unlike a noiseless trajectory of the lowered circuit, this never fuses
+    /// gates or folds pair runs, so its bits do not depend on the register
+    /// width.
+    pub fn evolve(circuit: &Circuit) -> StateVector {
+        let mut state = StateVector::zero_state(circuit.num_qubits());
+        for op in circuit.iter() {
+            match op.kind() {
+                OpKind::Unitary1Q { matrix, .. } => {
+                    state.apply_one_qubit(&op_mat2(matrix), op.qubits()[0]);
+                }
+                OpKind::Unitary2Q { matrix, .. } => {
+                    state.apply_two_qubit(&op_mat4(matrix), op.qubits()[0], op.qubits()[1]);
+                }
+                OpKind::Measure | OpKind::Barrier => {}
+            }
+        }
+        state
     }
 
     /// Number of qubits.

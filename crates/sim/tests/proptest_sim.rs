@@ -4,7 +4,7 @@ use circuit::{Circuit, Operation};
 use gates::standard;
 use proptest::prelude::*;
 use qmath::RngSeed;
-use sim::{IdealSimulator, StateVector};
+use sim::{ExecutionEngine, SimJob, StateVector};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -32,7 +32,7 @@ proptest! {
         c.push(Operation::rx(0, a));
         c.push(Operation::zz(0, 1, b));
         c.push(Operation::xx_plus_yy(1, 2, a));
-        let p = IdealSimulator::probabilities(&c);
+        let p = StateVector::evolve(&c).probabilities();
         let total: f64 = p.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
         prop_assert!(p.iter().all(|&x| x >= -1e-12));
@@ -44,7 +44,9 @@ proptest! {
         c.push(Operation::h(0));
         c.push(Operation::cnot(0, 1));
         c.measure_all();
-        let counts = IdealSimulator::sample(&c, shots, RngSeed(seed));
+        let counts = ExecutionEngine::new()
+            .run_job(&SimJob::ideal(c, shots, RngSeed(seed)))
+            .counts;
         prop_assert_eq!(counts.total(), shots);
     }
 
@@ -56,8 +58,8 @@ proptest! {
         with_phase.push(Operation::cphase(0, 1, phi));
         let mut without = Circuit::new(2);
         without.push(Operation::h(0));
-        let a = IdealSimulator::probabilities(&with_phase);
-        let b = IdealSimulator::probabilities(&without);
+        let a = StateVector::evolve(&with_phase).probabilities();
+        let b = StateVector::evolve(&without).probabilities();
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert!((x - y).abs() < 1e-9);
         }

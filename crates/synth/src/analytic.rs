@@ -107,12 +107,6 @@ pub fn u3_as_euler(q: QubitId, theta: f64, phi: f64, lambda: f64) -> Vec<Operati
     ]
 }
 
-/// The angle by which `XY(θ)` must be applied twice to give `XY(2θ)`; trivially
-/// θ, but kept as a named helper so compiler code reads declaratively.
-pub fn xy_half_angle(theta: f64) -> f64 {
-    theta / 2.0
-}
-
 /// π/2, the CPHASE angle of the first off-diagonal QFT rotation.
 pub const QFT_FIRST_ANGLE: f64 = FRAC_PI_2;
 

@@ -296,11 +296,6 @@ impl Collector {
             .is_multiple_of(every)
     }
 
-    /// Bound of the completed-span ring buffer.
-    pub fn span_capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub(crate) fn next_span_id(&self) -> SpanId {
         SpanId(self.next_id.fetch_add(1, Ordering::Relaxed))
     }

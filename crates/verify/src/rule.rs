@@ -168,11 +168,6 @@ impl Verifier {
         self
     }
 
-    /// The ids of the loaded rules, in evaluation order.
-    pub fn rule_ids(&self) -> Vec<&'static str> {
-        self.rules.iter().map(|r| r.id()).collect()
-    }
-
     /// Runs every rule over the artifact and collects the findings.
     pub fn run(&self, artifact: &Artifact<'_>) -> VerifyReport {
         let mut out = Vec::new();

@@ -29,17 +29,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// The pass name the compiler uses for this stage.
-    pub fn pass_name(self) -> &'static str {
-        match self {
-            Stage::RegionSelect => "region-select",
-            Stage::InitialMap => "initial-map",
-            Stage::SwapRoute => "swap-route",
-            Stage::NuOpDecompose => "nuop-decompose",
-        }
-    }
-
-    /// Maps a compiler pass name back to its stage, if it is one of the four
+    /// Maps a compiler pass name to its stage, if it is one of the four
     /// standard stages.
     pub fn from_pass_name(name: &str) -> Option<Stage> {
         match name {

@@ -12,7 +12,7 @@ use compiler::{CompiledCircuit, Compiler, CompilerOptions};
 use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
-use sim::{ExecutionEngine, IdealSimulator, NoiseModel, SimJob};
+use sim::{ExecutionEngine, NoiseModel, SimJob, StateVector};
 
 fn main() {
     let device = DeviceModel::aspen8(RngSeed(1));
@@ -83,7 +83,7 @@ fn main() {
         "\nMeasured reliability ({shots} shots each, {} threads):",
         engine.threads()
     );
-    let ideal = IdealSimulator::probabilities(&circuit.without_measurements());
+    let ideal = StateVector::evolve(&circuit.without_measurements()).probabilities();
     for ((label, compiled), result) in labels.iter().zip(&variants).zip(&results) {
         let logical = compiled.logical_counts(&result.counts);
         println!(

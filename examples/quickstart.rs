@@ -9,7 +9,7 @@ use device::DeviceModel;
 use gates::{standard, GateType, InstructionSet};
 use nuop_core::{decompose_fixed, DecomposeConfig};
 use qmath::RngSeed;
-use sim::{IdealSimulator, NoiseModel, NoisySimulator};
+use sim::{ExecutionEngine, FusionPolicy, NoiseModel, SeedPolicy, SimJob, StateVector};
 
 fn main() {
     // 1. Decompose a single application unitary into a hardware gate type.
@@ -67,10 +67,17 @@ fn main() {
         report.total_duration()
     );
 
+    // Per-shot seed streams over the unfused lowering: each shot's outcome
+    // depends only on the seed and the shot's index.
+    let engine = ExecutionEngine::builder()
+        .seed_policy(SeedPolicy::PerShot)
+        .fusion(FusionPolicy::Off)
+        .build()
+        .expect("valid engine configuration");
     let noise = NoiseModel::from_device(&compiled.subdevice);
-    let counts = NoisySimulator::new(noise).run(&compiled.circuit, 2000, RngSeed(2));
-    let logical = compiled.logical_counts(&counts);
-    let ideal = IdealSimulator::probabilities(&circuit.without_measurements());
+    let job = SimJob::noisy(compiled.circuit.clone(), noise, 2000, RngSeed(2));
+    let logical = compiled.logical_counts(&engine.run_job(&job).counts);
+    let ideal = StateVector::evolve(&circuit.without_measurements()).probabilities();
     let xed = apps::cross_entropy_difference(&logical, &ideal);
     println!("Noisy execution cross-entropy difference: {xed:.3} (1 = ideal, 0 = useless)");
 }

@@ -8,7 +8,7 @@ use compiler::{CompileError, Compiler, CompilerOptions};
 use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
-use sim::{NoiseModel, NoisySimulator};
+use sim::{ExecutionEngine, FusionPolicy, NoiseModel, SeedPolicy, SimJob};
 
 fn quick_options() -> CompilerOptions {
     CompilerOptions::sweep()
@@ -114,7 +114,18 @@ fn compiled_batch_members_simulate_correctly() {
     for result in service.compile_batch(&circuits) {
         let compiled = result.expect("suite compiles");
         let noiseless = NoiseModel::noiseless(&compiled.subdevice);
-        let counts = NoisySimulator::new(noiseless).run(&compiled.circuit, 64, RngSeed(11));
+        let counts = ExecutionEngine::builder()
+            .seed_policy(SeedPolicy::PerShot)
+            .fusion(FusionPolicy::Off)
+            .build()
+            .unwrap()
+            .run_job(&SimJob::noisy(
+                compiled.circuit.clone(),
+                noiseless,
+                64,
+                RngSeed(11),
+            ))
+            .counts;
         let logical = compiled.logical_counts(&counts);
         assert_eq!(logical.total(), 64);
     }

@@ -1,7 +1,7 @@
 //! Validation of the parallel batched-shot execution engine (`sim::engine`):
-//! determinism across thread counts, agreement with the single-job
-//! `NoisySimulator::run` wrapper, and convergence to the exact density-matrix
-//! distribution.
+//! determinism across thread counts, agreement with per-shot streams over the
+//! unfused lowering (how the pinned noisy counts are sampled), and
+//! convergence to the exact density-matrix distribution.
 
 use apps::workloads::{qaoa_circuit, qv_circuit};
 use circuit::{Circuit, Operation};
@@ -9,7 +9,7 @@ use device::DeviceModel;
 use proptest::prelude::*;
 use qmath::RngSeed;
 use sim::{
-    DensityMatrix, ExecutionEngine, NoiseModel, NoisySimulator, SeedPolicy, SimJob, SimResult,
+    Counts, DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel, SeedPolicy, SimJob, SimResult,
 };
 
 fn ghz_circuit(n: usize) -> Circuit {
@@ -36,6 +36,18 @@ fn engine_with(threads: usize) -> ExecutionEngine {
 
 fn batch_with(threads: usize, jobs: &[SimJob]) -> Vec<SimResult> {
     engine_with(threads).run_batch(jobs)
+}
+
+/// Counts from per-shot seed streams over the unfused lowering, on the
+/// default thread count.
+fn per_shot_unfused(circuit: &Circuit, noise: NoiseModel, shots: usize, seed: RngSeed) -> Counts {
+    ExecutionEngine::builder()
+        .seed_policy(SeedPolicy::PerShot)
+        .fusion(FusionPolicy::Off)
+        .build()
+        .unwrap()
+        .run_job(&SimJob::noisy(circuit.clone(), noise, shots, seed))
+        .counts
 }
 
 proptest! {
@@ -70,8 +82,8 @@ proptest! {
         }
     }
 
-    /// The per-shot seed policy reproduces the single-job wrapper
-    /// (`NoisySimulator::run`) bit for bit at any thread count.
+    /// Under the per-shot seed policy, Safe fusion and four threads reproduce
+    /// the unfused lowering on the default thread count bit for bit.
     #[test]
     fn per_shot_policy_matches_noisy_simulator_exactly(
         seed in 0u64..500,
@@ -79,34 +91,34 @@ proptest! {
     ) {
         let circuit = ghz_circuit(3);
         let noise = NoiseModel::from_device(&DeviceModel::ideal(3, 0.95));
-        let wrapper = NoisySimulator::new(noise.clone()).run(&circuit, shots, RngSeed(seed));
+        let reference = per_shot_unfused(&circuit, noise.clone(), shots, RngSeed(seed));
         let engine = ExecutionEngine::builder()
             .threads(4)
             .seed_policy(SeedPolicy::PerShot)
             .build()
             .unwrap();
         let batch = engine.run_batch(&[SimJob::noisy(circuit, noise, shots, RngSeed(seed))]);
-        prop_assert_eq!(&wrapper, &batch[0].counts);
+        prop_assert_eq!(&reference, &batch[0].counts);
     }
 }
 
 #[test]
 fn ghz_engine_agrees_with_noisy_simulator_distribution() {
-    // The engine's default per-shard streams differ from the wrapper's
-    // per-shot streams, so the histograms are different samples of the same
-    // distribution: they must agree statistically.
+    // The engine's default per-shard streams differ from per-shot streams,
+    // so the histograms are different samples of the same distribution: they
+    // must agree statistically.
     let circuit = ghz_circuit(3);
     let mut noise = NoiseModel::from_device(&DeviceModel::ideal(3, 0.95));
     noise.with_readout_error = false;
     let shots = 8000;
 
-    let wrapper = NoisySimulator::new(noise.clone()).run(&circuit, shots, RngSeed(21));
+    let per_shot = per_shot_unfused(&circuit, noise.clone(), shots, RngSeed(21));
     let engine = engine_with(8).run_batch(&[SimJob::noisy(circuit, noise, shots, RngSeed(21))]);
 
-    let a: Vec<f64> = (0..8).map(|i| wrapper.probability(i)).collect();
+    let a: Vec<f64> = (0..8).map(|i| per_shot.probability(i)).collect();
     let b: Vec<f64> = (0..8).map(|i| engine[0].counts.probability(i)).collect();
     let tv = total_variation(&a, &b);
-    assert!(tv < 0.03, "engine vs wrapper TVD {tv}: {a:?} vs {b:?}");
+    assert!(tv < 0.03, "per-shard vs per-shot TVD {tv}: {a:?} vs {b:?}");
 }
 
 #[test]

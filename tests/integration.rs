@@ -8,11 +8,22 @@ use device::DeviceModel;
 use gates::{GateType, InstructionSet};
 use nuop_core::{decompose_fixed, DecomposeConfig};
 use qmath::{hilbert_schmidt_fidelity, RngSeed};
-use sim::{IdealSimulator, NoiseModel, NoisySimulator};
+use sim::{Counts, ExecutionEngine, FusionPolicy, NoiseModel, SeedPolicy, SimJob, StateVector};
 use synth::minimal_cnot_count;
 
 fn quick_options() -> CompilerOptions {
     CompilerOptions::sweep()
+}
+
+/// Counts from per-shot seed streams over the unfused lowering.
+fn per_shot_unfused(circuit: &Circuit, noise: NoiseModel, shots: usize, seed: RngSeed) -> Counts {
+    ExecutionEngine::builder()
+        .seed_policy(SeedPolicy::PerShot)
+        .fusion(FusionPolicy::Off)
+        .build()
+        .unwrap()
+        .run_job(&SimJob::noisy(circuit.clone(), noise, shots, seed))
+        .counts
 }
 
 fn compile(circuit: &Circuit, device: &DeviceModel, set: &InstructionSet) -> CompiledCircuit {
@@ -66,9 +77,9 @@ fn end_to_end_qaoa_compile_and_simulate_beats_uniform_sampling() {
     let circuit = qaoa_circuit(4, RngSeed(4));
     let compiled = compile(&circuit, &device, &InstructionSet::g(3));
     let noise = NoiseModel::from_device(&compiled.subdevice);
-    let counts = NoisySimulator::new(noise).run(&compiled.circuit, 1000, RngSeed(5));
+    let counts = per_shot_unfused(&compiled.circuit, noise, 1000, RngSeed(5));
     let logical = compiled.logical_counts(&counts);
-    let ideal = IdealSimulator::probabilities(&circuit.without_measurements());
+    let ideal = StateVector::evolve(&circuit.without_measurements()).probabilities();
     let xed = apps::cross_entropy_difference(&logical, &ideal);
     assert!(xed > 0.2, "XED = {xed}");
 }
@@ -79,7 +90,7 @@ fn qft_echo_on_noiseless_hardware_recovers_the_input_exactly() {
     let (circuit, expected) = qft_echo_circuit(3, RngSeed(7));
     let compiled = compile(&circuit, &device, &InstructionSet::r(5));
     let noiseless = NoiseModel::noiseless(&compiled.subdevice);
-    let counts = NoisySimulator::new(noiseless).run(&compiled.circuit, 128, RngSeed(8));
+    let counts = per_shot_unfused(&compiled.circuit, noiseless, 128, RngSeed(8));
     let logical = compiled.logical_counts(&counts);
     // The compiled circuit is approximate (it targets noisy calibration), but
     // the expected outcome must dominate.

@@ -12,8 +12,8 @@ use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
 use sim::{
-    ArityChannel, AttachedChannel, DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel,
-    NoisySimulator, PrecompiledCircuit, SimJob, FOLD_MIN_QUBITS,
+    ArityChannel, AttachedChannel, Counts, DensityMatrix, ExecutionEngine, FusionPolicy,
+    NoiseModel, PrecompiledCircuit, SeedPolicy, SimJob, FOLD_MIN_QUBITS,
 };
 
 fn bell_plus_rotation() -> Circuit {
@@ -23,6 +23,17 @@ fn bell_plus_rotation() -> Circuit {
     c.push(Operation::rx(1, 0.6));
     c.measure_all();
     c
+}
+
+/// Counts from per-shot seed streams over the unfused lowering.
+fn per_shot_unfused(circuit: &Circuit, noise: NoiseModel, shots: usize, seed: RngSeed) -> Counts {
+    ExecutionEngine::builder()
+        .seed_policy(SeedPolicy::PerShot)
+        .fusion(FusionPolicy::Off)
+        .build()
+        .unwrap()
+        .run_job(&SimJob::noisy(circuit.clone(), noise, shots, seed))
+        .counts
 }
 
 fn total_variation(a: &[f64], b: &[f64]) -> f64 {
@@ -43,7 +54,7 @@ fn trajectories_converge_to_the_density_matrix_distribution() {
     let dm = DensityMatrix::evolve(&circuit, &noise);
     let exact = dm.probabilities();
 
-    let counts = NoisySimulator::new(noise).run(&circuit, 6000, RngSeed(1));
+    let counts = per_shot_unfused(&circuit, noise, 6000, RngSeed(1));
     let empirical: Vec<f64> = (0..4).map(|i| counts.probability(i)).collect();
 
     let tv = total_variation(&exact, &empirical);
@@ -69,7 +80,7 @@ fn relaxation_noise_also_agrees() {
     circuit.measure_all();
 
     let exact = DensityMatrix::evolve(&circuit, &noise).probabilities();
-    let counts = NoisySimulator::new(noise).run(&circuit, 6000, RngSeed(3));
+    let counts = per_shot_unfused(&circuit, noise, 6000, RngSeed(3));
     let empirical: Vec<f64> = (0..4).map(|i| counts.probability(i)).collect();
     let tv = total_variation(&exact, &empirical);
     assert!(tv < 0.03, "total variation distance {tv}");
@@ -78,7 +89,7 @@ fn relaxation_noise_also_agrees() {
 #[test]
 fn ghz_trajectories_match_density_matrix_within_tolerance() {
     // Three-qubit noisy GHZ: the Monte-Carlo trajectory sampler
-    // (`sim::runner`) must reproduce the exact density-matrix distribution
+    // (`sim::engine`) must reproduce the exact density-matrix distribution
     // (`sim::density`) within a small total-variation tolerance.
     let device = DeviceModel::ideal(3, 0.95);
     let mut noise = NoiseModel::from_device(&device);
@@ -94,7 +105,7 @@ fn ghz_trajectories_match_density_matrix_within_tolerance() {
     // Noise leaks weight off |000> and |111>, but they must stay dominant.
     assert!(exact[0] > 0.35 && exact[7] > 0.35, "GHZ peaks: {exact:?}");
 
-    let counts = NoisySimulator::new(noise).run(&ghz, 8000, RngSeed(21));
+    let counts = per_shot_unfused(&ghz, noise, 8000, RngSeed(21));
     let empirical: Vec<f64> = (0..8).map(|i| counts.probability(i)).collect();
     let tv = total_variation(&exact, &empirical);
     assert!(
