@@ -40,7 +40,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = Scale::from_args();
-    // --trace <path>: record per-pass compiler spans as Trace Event JSON.
+    // --trace <path>: record per-stage compiler spans as Trace Event JSON.
     let trace = trace_sink_from_args();
     let seed = RngSeed(0xA0D1);
 

@@ -44,14 +44,6 @@ pub enum CompileError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// A pass ran before the stage that produces its input (custom pipelines
-    /// only; the default pipeline is always correctly ordered).
-    PipelineMisordered {
-        /// The pass that could not run.
-        pass: String,
-        /// What it was missing.
-        missing: String,
-    },
 }
 
 impl fmt::Display for CompileError {
@@ -78,9 +70,6 @@ impl fmt::Display for CompileError {
                 write!(f, "no path between physical qubits {q0} and {q1}")
             }
             CompileError::InvalidLayout { reason } => write!(f, "invalid layout: {reason}"),
-            CompileError::PipelineMisordered { pass, missing } => {
-                write!(f, "pass {pass} ran before {missing} was available")
-            }
         }
     }
 }

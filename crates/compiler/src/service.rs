@@ -1,26 +1,83 @@
 //! The reusable compilation service.
 //!
-//! A [`Compiler`] owns a device model, an instruction set, options, a pass
-//! pipeline and — crucially for instruction-set sweeps — a **shared, sharded
-//! decomposition cache** that persists across [`Compiler::compile`] calls.
-//! The paper's headline experiments compile the same workloads against 21
-//! instruction sets; with a long-lived `Compiler` per set, every repeated
-//! SU(4), ZZ or SWAP decomposition after the first is a cache hit.
+//! A [`Compiler`] owns a device model, an instruction set, options and —
+//! crucially for instruction-set sweeps — a **shared, sharded decomposition
+//! cache** that persists across [`Compiler::compile`] calls. The paper's
+//! headline experiments compile the same workloads against 21 instruction
+//! sets; with a long-lived `Compiler` per set, every repeated SU(4), ZZ or
+//! SWAP decomposition after the first is a cache hit.
+//!
+//! Every compile runs the same four stages of paper Fig. 1, in order:
+//! region selection, initial mapping, SWAP routing and NuOp decomposition.
+//! Each stage runs in its own telemetry span, whose duration is also the
+//! stage's [`CompileReport`] timing.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use circuit::Circuit;
 use device::DeviceModel;
 use gates::{InstructionSet, InvalidInstructionSet};
-use nuop_core::DecompositionCache;
+use nuop_core::{DecompositionCache, NuOpPass};
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use telemetry::{Collector, SpanId};
 
 use verify::{Artifact, Stage, StageSnapshot, Verifier, VerifyLevel};
 
 use crate::error::CompileError;
-use crate::pass::{default_passes, CompileIr, CompileReport, Pass, PassContext, StageTiming};
+use crate::mapping::initial_mapping;
 use crate::pipeline::{CompiledCircuit, CompilerOptions};
+use crate::region::try_select_region;
+use crate::routing::try_route;
+
+/// Per-stage timing entry of a [`CompileReport`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StageTiming {
+    /// The stage name (`region-select`, `initial-map`, `swap-route` or
+    /// `nuop-decompose`), which is also its telemetry span's name.
+    pub pass: &'static str,
+    /// Wall-clock time the stage took.
+    pub duration: Duration,
+}
+
+/// What a compile cost: per-stage wall-clock timings and decomposition-cache
+/// traffic. Returned by [`Compiler::compile_with_report`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+pub struct CompileReport {
+    /// Wall-clock time per stage, in execution order.
+    pub stages: Vec<StageTiming>,
+    /// Two-qubit operations served from the shared decomposition cache.
+    pub cache_hits: usize,
+    /// Two-qubit operations that required a fresh numerical optimization.
+    pub cache_misses: usize,
+    /// Findings of the static verifier, when the compiler was built with
+    /// [`CompilerBuilder::verify`] enabled (empty otherwise).
+    pub diagnostics: Vec<verify::Diagnostic>,
+}
+
+impl CompileReport {
+    /// Total wall-clock time across stages.
+    pub fn total_duration(&self) -> Duration {
+        self.stages.iter().map(|s| s.duration).sum()
+    }
+
+    /// Time spent in the stage called `pass`, if it ran.
+    pub fn stage_duration(&self, pass: &str) -> Option<Duration> {
+        self.stages
+            .iter()
+            .find(|s| s.pass == pass)
+            .map(|s| s.duration)
+    }
+
+    /// True when the static verifier reported at least one error-level
+    /// finding.
+    pub fn has_verify_errors(&self) -> bool {
+        self.diagnostics
+            .iter()
+            .any(|d| d.severity() == verify::Severity::Error)
+    }
+}
 
 /// A reusable, fallible compilation service.
 ///
@@ -55,7 +112,6 @@ pub struct Compiler {
     device: DeviceModel,
     instruction_set: InstructionSet,
     options: CompilerOptions,
-    passes: Vec<Box<dyn Pass>>,
     cache: Arc<DecompositionCache>,
     verify_level: VerifyLevel,
     telemetry: Option<Arc<Collector>>,
@@ -70,8 +126,6 @@ impl Compiler {
             instruction_set_name: None,
             options: CompilerOptions::default(),
             cache: None,
-            cache_capacity: None,
-            passes: None,
             verify_level: VerifyLevel::Off,
             telemetry: None,
         }
@@ -117,7 +171,7 @@ impl Compiler {
         self.compile_inner(circuit, self.options.threads.max(1), SpanId::NONE)
     }
 
-    /// Like [`Compiler::compile_with_report`], but records each pass as a
+    /// Like [`Compiler::compile_with_report`], but records each stage as a
     /// telemetry span parented under `parent` (the caller's job or compile
     /// span). With no collector configured — or a disabled one — this is
     /// exactly `compile_with_report`.
@@ -178,56 +232,80 @@ impl Compiler {
         if circuit.num_qubits() == 0 {
             return Err(CompileError::EmptyCircuit);
         }
-        let ctx = PassContext {
-            device: &self.device,
-            instruction_set: &self.instruction_set,
-            options: &self.options,
-            cache: &self.cache,
-            threads,
+        let mut stages = Stages {
+            compiler: self,
+            parent,
+            verifier: self.verify_level.is_enabled().then(Verifier::structural),
+            report: CompileReport::default(),
         };
-        let mut ir = CompileIr::new(circuit);
-        let mut report = CompileReport::default();
-        let verifier = self.verify_level.is_enabled().then(Verifier::structural);
-        for (index, pass) in self.passes.iter().enumerate() {
-            // The span guard is the single timing source: it measures with a
-            // plain `Instant` even when no collector records it, so
-            // `CompileReport` stays accurate with telemetry off.
-            let span = telemetry::Span::enter_child(self.telemetry.as_ref(), pass.name(), parent);
-            pass.run(&mut ir, &ctx)?;
-            report.stages.push(StageTiming {
-                pass: pass.name().to_string(),
-                duration: span.finish(),
-            });
-            // Between-pass verification: check the IR after this stage when
-            // the level asks for it (PerStage: always; Final: last pass only).
-            let check_now = match self.verify_level {
-                VerifyLevel::Off => false,
-                VerifyLevel::Final => index + 1 == self.passes.len(),
-                VerifyLevel::PerStage => true,
-            };
-            if check_now {
-                if let (Some(verifier), Some(stage)) =
-                    (verifier.as_ref(), Stage::from_pass_name(pass.name()))
-                {
-                    let snapshot = StageSnapshot {
-                        stage,
-                        circuit: &ir.circuit,
-                        region: &ir.region,
-                        subdevice: ir.subdevice.as_ref(),
-                        initial_layout: &ir.initial_layout,
-                        final_layout: &ir.final_layout,
-                        swap_count: ir.swap_count,
-                        program_swap_count: ir.program_swap_count,
-                        instruction_set: Some(&self.instruction_set),
-                    };
-                    report
-                        .diagnostics
-                        .extend(verifier.run(&Artifact::Stage(&snapshot)).into_diagnostics());
-                }
-            }
-        }
-        report.cache_hits = ir.pass_stats.cache_hits;
-        report.cache_misses = ir.pass_stats.cache_misses;
+
+        let (region, subdevice) = stages.run(Stage::RegionSelect, || {
+            let region = try_select_region(&self.device, circuit.num_qubits())?;
+            let subdevice = self.device.subdevice(&region);
+            Ok((region, subdevice))
+        })?;
+        let mut state = StageSnapshot {
+            stage: Stage::RegionSelect,
+            circuit,
+            region: &region,
+            subdevice: Some(&subdevice),
+            initial_layout: &[],
+            final_layout: &[],
+            swap_count: 0,
+            program_swap_count: 0,
+            instruction_set: Some(&self.instruction_set),
+        };
+        stages.check(&state);
+
+        let initial_layout = stages.run(Stage::InitialMap, || {
+            Ok(initial_mapping(circuit, &subdevice))
+        })?;
+        state = StageSnapshot {
+            stage: Stage::InitialMap,
+            initial_layout: &initial_layout,
+            ..state
+        };
+        stages.check(&state);
+
+        let routed = stages.run(Stage::SwapRoute, || {
+            try_route(circuit, &subdevice, &initial_layout)
+        })?;
+        state = StageSnapshot {
+            stage: Stage::SwapRoute,
+            circuit: &routed.circuit,
+            final_layout: &routed.final_layout,
+            swap_count: routed.swap_count,
+            // Routing keeps the program's own SWAPs as data-moving gates, so
+            // the swap-consistency rule, the only reader, must not replay
+            // them as layout bookkeeping.
+            program_swap_count: if stages.due(Stage::SwapRoute) {
+                circuit
+                    .iter()
+                    .filter(|op| op.is_two_qubit_unitary() && op.label() == "SWAP")
+                    .count()
+            } else {
+                0
+            },
+            ..state
+        };
+        stages.check(&state);
+
+        let (decomposed, pass_stats) = stages.run(Stage::NuOpDecompose, || {
+            let pass = NuOpPass::new(self.instruction_set.clone(), self.options.decompose.clone())
+                .with_threads(threads)
+                .with_cache(Arc::clone(&self.cache));
+            Ok(pass.run(&routed.circuit, &subdevice))
+        })?;
+        state = StageSnapshot {
+            stage: Stage::NuOpDecompose,
+            circuit: &decomposed,
+            ..state
+        };
+        stages.check(&state);
+
+        let mut report = stages.report;
+        report.cache_hits = pass_stats.cache_hits;
+        report.cache_misses = pass_stats.cache_misses;
         if let Some(collector) = self.telemetry.as_ref().filter(|c| c.enabled()) {
             // Per-compile deltas as counters; cache-lifetime totals (shared
             // across compilers) as gauges.
@@ -247,19 +325,82 @@ impl Compiler {
                 .gauge("compiler.cache_inflight_waits")
                 .set(self.cache.inflight_waits() as i64);
         }
-        let subdevice = ir.require_subdevice("finalize")?.clone();
         Ok((
             CompiledCircuit {
-                circuit: ir.circuit,
-                region: ir.region,
+                circuit: decomposed,
+                region,
                 subdevice,
-                initial_layout: ir.initial_layout,
-                final_layout: ir.final_layout,
-                swap_count: ir.swap_count,
-                pass_stats: ir.pass_stats,
+                initial_layout,
+                final_layout: routed.final_layout,
+                swap_count: routed.swap_count,
+                pass_stats,
             },
             report,
         ))
+    }
+}
+
+/// The span and report name of each stage.
+fn stage_name(stage: Stage) -> &'static str {
+    match stage {
+        Stage::RegionSelect => "region-select",
+        Stage::InitialMap => "initial-map",
+        Stage::SwapRoute => "swap-route",
+        Stage::NuOpDecompose => "nuop-decompose",
+    }
+}
+
+/// One compile's stages: each runs in its own span, and the state after it
+/// is verified when the compiler's level asks for it.
+struct Stages<'a> {
+    compiler: &'a Compiler,
+    parent: SpanId,
+    verifier: Option<Verifier>,
+    report: CompileReport,
+}
+
+impl Stages<'_> {
+    /// Runs `stage` inside its span and records the span's duration. A
+    /// stage that fails returns before its timing is recorded.
+    fn run<T>(
+        &mut self,
+        stage: Stage,
+        run: impl FnOnce() -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        // The span guard is the single timing source: it measures with a
+        // plain `Instant` even when no collector records it, so
+        // `CompileReport` stays accurate with telemetry off.
+        let name = stage_name(stage);
+        let span =
+            telemetry::Span::enter_child(self.compiler.telemetry.as_ref(), name, self.parent);
+        let out = run()?;
+        self.report.stages.push(StageTiming {
+            pass: name,
+            duration: span.finish(),
+        });
+        Ok(out)
+    }
+
+    /// Whether the state after `stage` is verified: after every stage under
+    /// `PerStage`, after decomposition only under `Final`.
+    fn due(&self, stage: Stage) -> bool {
+        match self.compiler.verify_level {
+            VerifyLevel::Off => false,
+            VerifyLevel::Final => stage == Stage::NuOpDecompose,
+            VerifyLevel::PerStage => true,
+        }
+    }
+
+    /// Verifies `snapshot` when it is due, adding the findings to the report.
+    fn check(&mut self, snapshot: &StageSnapshot<'_>) {
+        if !self.due(snapshot.stage) {
+            return;
+        }
+        if let Some(verifier) = &self.verifier {
+            self.report
+                .diagnostics
+                .extend(verifier.run(&Artifact::Stage(snapshot)).into_diagnostics());
+        }
     }
 }
 
@@ -268,10 +409,6 @@ impl std::fmt::Debug for Compiler {
         f.debug_struct("Compiler")
             .field("device", &self.device.name())
             .field("instruction_set", &self.instruction_set.name())
-            .field(
-                "passes",
-                &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
             .field("cache", &self.cache)
             .finish()
     }
@@ -280,15 +417,14 @@ impl std::fmt::Debug for Compiler {
 /// Builder returned by [`Compiler::for_device`].
 ///
 /// The instruction set is mandatory; everything else has defaults
-/// (default options, the four-stage pipeline, a fresh cache).
+/// (default options, a fresh unbounded cache, no verification and no
+/// telemetry).
 pub struct CompilerBuilder {
     device: DeviceModel,
     instruction_set: Option<InstructionSet>,
     instruction_set_name: Option<String>,
     options: CompilerOptions,
     cache: Option<Arc<DecompositionCache>>,
-    cache_capacity: Option<usize>,
-    passes: Option<Vec<Box<dyn Pass>>>,
     verify_level: VerifyLevel,
     telemetry: Option<Arc<Collector>>,
 }
@@ -319,26 +455,12 @@ impl CompilerBuilder {
     /// the instruction set (name and member types), pair fidelities and a
     /// fingerprint of the decomposition config, so unrelated compilers can
     /// safely share one cache.
+    ///
+    /// This is also how a long-running service bounds a compiler's cache:
+    /// share one built with [`DecompositionCache::with_capacity`], since the
+    /// default private cache grows with every distinct unitary compiled.
     pub fn shared_cache(mut self, cache: Arc<DecompositionCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Bounds the compiler's private decomposition cache to roughly
-    /// `capacity` entries with FIFO per-shard eviction — the right setting
-    /// for long-running compile services, where the default unbounded cache
-    /// would grow with every distinct unitary ever compiled.
-    ///
-    /// Ignored when [`CompilerBuilder::shared_cache`] supplies an external
-    /// cache: the owner of a shared cache decides its bound.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Replaces the default four-stage pipeline with a custom one.
-    pub fn passes(mut self, passes: Vec<Box<dyn Pass>>) -> Self {
-        self.passes = Some(passes);
         self
     }
 
@@ -346,8 +468,8 @@ impl CompilerBuilder {
     /// (qubit bounds, post-routing coupling, instruction-set conformance,
     /// layout bijections, swap consistency) check the intermediate state and
     /// attach their findings to [`CompileReport::diagnostics`].
-    /// [`VerifyLevel::PerStage`] checks after every pass,
-    /// [`VerifyLevel::Final`] only after the last; the default is
+    /// [`VerifyLevel::PerStage`] checks after every stage,
+    /// [`VerifyLevel::Final`] only after decomposition; the default is
     /// [`VerifyLevel::Off`]. Findings never abort compilation — callers gate
     /// on [`CompileReport::has_verify_errors`].
     pub fn verify(mut self, level: VerifyLevel) -> Self {
@@ -356,7 +478,7 @@ impl CompilerBuilder {
     }
 
     /// Attaches a telemetry collector: every compile records one span per
-    /// pass (use [`Compiler::compile_with_report_in_span`] to parent them
+    /// stage (use [`Compiler::compile_with_report_in_span`] to parent them
     /// under a job span) and folds decomposition-cache traffic into the
     /// collector's registry. The default is no collector, which keeps the
     /// pipeline allocation-free on the telemetry side.
@@ -383,17 +505,11 @@ impl CompilerBuilder {
                 .into())
             }
         };
-        let cache = match (self.cache, self.cache_capacity) {
-            (Some(shared), _) => shared,
-            (None, Some(capacity)) => Arc::new(DecompositionCache::with_capacity(capacity)),
-            (None, None) => Arc::default(),
-        };
         Ok(Compiler {
             device: self.device,
             instruction_set,
             options: self.options,
-            passes: self.passes.unwrap_or_else(default_passes),
-            cache,
+            cache: self.cache.unwrap_or_default(),
             verify_level: self.verify_level,
             telemetry: self.telemetry,
         })
@@ -504,11 +620,33 @@ mod tests {
     }
 
     #[test]
+    fn report_durations_aggregate() {
+        let report = CompileReport {
+            stages: vec![
+                StageTiming {
+                    pass: "a",
+                    duration: Duration::from_millis(2),
+                },
+                StageTiming {
+                    pass: "b",
+                    duration: Duration::from_millis(3),
+                },
+            ],
+            cache_hits: 1,
+            cache_misses: 2,
+            diagnostics: Vec::new(),
+        };
+        assert_eq!(report.total_duration(), Duration::from_millis(5));
+        assert_eq!(report.stage_duration("b"), Some(Duration::from_millis(3)));
+        assert_eq!(report.stage_duration("zzz"), None);
+    }
+
+    #[test]
     fn report_times_every_stage() {
         let compiler = aspen_compiler(InstructionSet::s(3));
         let circuit = qv_circuit(3, RngSeed(5));
         let (_, report) = compiler.compile_with_report(&circuit).unwrap();
-        let stages: Vec<&str> = report.stages.iter().map(|s| s.pass.as_str()).collect();
+        let stages: Vec<&str> = report.stages.iter().map(|s| s.pass).collect();
         assert_eq!(
             stages,
             vec![
@@ -562,32 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_bounds_the_private_cache() {
-        let compiler = Compiler::for_device(DeviceModel::ideal(3, 0.99))
-            .instruction_set(InstructionSet::s(3))
-            .options(quick_options())
-            .cache_capacity(32)
-            .build()
-            .unwrap();
-        assert_eq!(compiler.cache().capacity(), Some(32));
-
-        // A shared cache wins over a capacity request: its owner set the bound.
-        let shared = Arc::new(DecompositionCache::new());
-        let compiler = Compiler::for_device(DeviceModel::ideal(3, 0.99))
-            .instruction_set(InstructionSet::s(3))
-            .shared_cache(Arc::clone(&shared))
-            .cache_capacity(32)
-            .build()
-            .unwrap();
-        assert_eq!(compiler.cache().capacity(), None);
-    }
-
-    #[test]
     fn bounded_compiler_still_compiles_and_reuses_its_cache() {
         let compiler = Compiler::for_device(DeviceModel::aspen8(RngSeed(1)))
             .instruction_set(InstructionSet::r(2))
             .options(quick_options())
-            .cache_capacity(256)
+            .shared_cache(Arc::new(DecompositionCache::with_capacity(256)))
             .build()
             .unwrap();
         let circuit = qaoa_circuit(3, RngSeed(3));
@@ -695,41 +812,5 @@ mod tests {
             .compile_with_report(&qv_circuit(3, RngSeed(5)))
             .unwrap();
         assert!(report.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn custom_pipelines_can_replace_stages() {
-        use crate::pass::{CompileIr, Pass, PassContext};
-
-        /// A no-op decomposition stage: leaves routed SWAP/SU(4) unitaries
-        /// in place (useful to inspect pre-decomposition circuits).
-        struct KeepUnitaries;
-        impl Pass for KeepUnitaries {
-            fn name(&self) -> &'static str {
-                "keep-unitaries"
-            }
-            fn run(&self, _ir: &mut CompileIr, _ctx: &PassContext) -> Result<(), CompileError> {
-                Ok(())
-            }
-        }
-
-        let compiler = Compiler::for_device(DeviceModel::aspen8(RngSeed(1)))
-            .instruction_set(InstructionSet::s(3))
-            .options(quick_options())
-            .passes(vec![
-                Box::new(crate::pass::RegionSelect),
-                Box::new(crate::pass::InitialMap),
-                Box::new(crate::pass::SwapRoute),
-                Box::new(KeepUnitaries),
-            ])
-            .build()
-            .unwrap();
-        let circuit = qv_circuit(3, RngSeed(7));
-        let compiled = compiler.compile(&circuit).unwrap();
-        // Without NuOp the two-qubit ops are untouched application unitaries.
-        assert_eq!(
-            compiled.circuit.two_qubit_gate_count(),
-            circuit.two_qubit_gate_count() + compiled.swap_count
-        );
     }
 }

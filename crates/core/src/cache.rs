@@ -156,8 +156,8 @@ struct Shard {
 ///
 /// By default the cache grows without bound — fine for one-shot experiment
 /// sweeps, wrong for long-running compile services. Build with
-/// [`DecompositionCache::with_capacity`] (or
-/// `compiler`'s `CompilerBuilder::cache_capacity`) to cap the entry count;
+/// [`DecompositionCache::with_capacity`] to cap the entry count (a compiler
+/// takes such a cache through `compiler`'s `CompilerBuilder::shared_cache`);
 /// when a shard is full, its oldest entry is evicted first-in-first-out.
 pub struct DecompositionCache {
     shards: Vec<Mutex<Shard>>,

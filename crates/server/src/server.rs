@@ -327,7 +327,6 @@ impl JobServer {
             queue_capacity: 64,
             tenant_cache_capacity: 1024,
             options: CompilerOptions::default(),
-            engine: None,
             validate: false,
             telemetry: None,
         }
@@ -527,7 +526,6 @@ pub struct ServerBuilder {
     queue_capacity: usize,
     tenant_cache_capacity: usize,
     options: CompilerOptions,
-    engine: Option<ExecutionEngine>,
     validate: bool,
     telemetry: Option<Arc<Collector>>,
 }
@@ -559,18 +557,11 @@ impl ServerBuilder {
         self
     }
 
-    /// Replaces the default single-thread simulation engine.
-    pub fn engine(mut self, engine: ExecutionEngine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Enables validate-before-run (default off): every compiled artifact is
     /// statically verified before execution and every simulate job's lowered
     /// kernels are audited by the engine. Finding counts surface in the
     /// metrics endpoint (`verify_errors` / `verify_warnings`); jobs are never
-    /// aborted. When no custom [`engine`](ServerBuilder::engine) is supplied,
-    /// the default engine is built with its own validation enabled too.
+    /// aborted.
     pub fn validate(mut self, on: bool) -> Self {
         self.validate = on;
         self
@@ -600,30 +591,19 @@ impl ServerBuilder {
         }
         let mut options = self.options;
         options.threads = 1;
-        let engine = self.engine.unwrap_or_else(|| {
-            ExecutionEngine::builder()
-                .threads(1)
-                .validate(self.validate)
-                .build()
-                .expect("one thread and the default chunk size are a valid config")
-        });
-        // When the server carries a collector, rebuild the engine from
-        // its own knobs with the collector attached, so engine-side spans
-        // (precompile / simulate / shard) land in the same trace as the
-        // server's job spans.
-        let engine = match &self.telemetry {
-            Some(collector) => ExecutionEngine::builder()
-                .threads(engine.threads())
-                .shot_chunk_size(engine.shot_chunk_size())
-                .seed_policy(engine.seed_policy())
-                .fusion(engine.fusion())
-                .validate(engine.validate())
-                .parallel_sweep_min_qubits(engine.parallel_sweep_min_qubits())
-                .telemetry(Arc::clone(collector))
-                .build()
-                .unwrap_or_else(|_| engine.clone()),
-            None => engine,
-        };
+        // One thread per job: the worker pool is the server's parallelism.
+        // The server's collector, when set, also records the engine-side
+        // spans (precompile / simulate / shard), so they land in the same
+        // trace as the server's job spans.
+        let mut engine = ExecutionEngine::builder()
+            .threads(1)
+            .validate(self.validate);
+        if let Some(collector) = &self.telemetry {
+            engine = engine.telemetry(Arc::clone(collector));
+        }
+        let engine = engine
+            .build()
+            .expect("one thread and the default chunk size are a valid config");
         let shared = Arc::new(Shared {
             scheduler: Scheduler::new(self.workers, self.queue_capacity),
             device: self.device,

@@ -1,6 +1,6 @@
 //! Per-stage legality rules over compilation-pipeline snapshots.
 //!
-//! The compiler exposes its intermediate state after every pass as a
+//! The compiler exposes its intermediate state after every stage as a
 //! [`StageSnapshot`]; the structural rules here prove the stage invariants of
 //! the paper's pipeline (Fig. 1): qubit indices in bounds, every post-routing
 //! two-qubit operation on a coupled pair, only instruction-set gates after
@@ -28,24 +28,11 @@ pub enum Stage {
     NuOpDecompose,
 }
 
-impl Stage {
-    /// Maps a compiler pass name to its stage, if it is one of the four
-    /// standard stages.
-    pub fn from_pass_name(name: &str) -> Option<Stage> {
-        match name {
-            "region-select" => Some(Stage::RegionSelect),
-            "initial-map" => Some(Stage::InitialMap),
-            "swap-route" => Some(Stage::SwapRoute),
-            "nuop-decompose" => Some(Stage::NuOpDecompose),
-            _ => None,
-        }
-    }
-}
-
-/// A read-only view of the compiler's intermediate state after one pass.
+/// A read-only view of the compiler's intermediate state after one stage.
 ///
-/// The compiler constructs these from its IR; rules never see the IR type
-/// itself, which keeps this crate below the compiler in the dependency graph.
+/// The compiler builds one from what its stages have produced so far (the
+/// region, the layouts, the current circuit); rules see only this view,
+/// which keeps this crate below the compiler in the dependency graph.
 #[derive(Debug, Clone, Copy)]
 pub struct StageSnapshot<'a> {
     /// Which stage the snapshot was taken after.

@@ -2,7 +2,7 @@
 //! how many gates each hardware type needs for each kind of application
 //! unitary, and what the emitted circuits look like.
 //!
-//! Run with `cargo run --release -p bench --example decomposition_gallery`.
+//! Run with `cargo run --release -p nuop-tests --example decomposition_gallery`.
 
 use gates::{standard, GateType};
 use nuop_core::{decompose_fixed, DecomposeConfig};

@@ -2,7 +2,7 @@
 //! on both devices, report reliability, instruction counts and calibration
 //! cost, and point out the 4-8 gate-type sweet spot.
 //!
-//! Run with `cargo run --release -p bench --example isa_design_study`.
+//! Run with `cargo run --release -p nuop-tests --example isa_design_study`.
 
 use bench::{compiler_for, evaluate_set, qaoa_suite, qv_suite, Metric, Scale};
 use calibration::CalibrationModel;

@@ -4,7 +4,7 @@
 //! compiled variant is *executed* in one batch on the parallel
 //! [`sim::ExecutionEngine`] to show the reliability gap directly.
 //!
-//! Run with `cargo run --release -p bench --example noise_adaptive_routing`.
+//! Run with `cargo run --release -p nuop-tests --example noise_adaptive_routing`.
 
 use apps::heavy_output_probability;
 use apps::workloads::qv_circuit;

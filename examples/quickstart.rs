@@ -1,7 +1,7 @@
 //! Quickstart: decompose an application operation with NuOp, compare gate
 //! types, and compile + simulate a small circuit end to end.
 //!
-//! Run with `cargo run --release -p bench --example quickstart`.
+//! Run with `cargo run --release -p nuop-tests --example quickstart`.
 
 use circuit::{Circuit, Operation};
 use compiler::{Compiler, CompilerOptions};

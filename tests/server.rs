@@ -1,13 +1,14 @@
 //! Integration tests for the compile-and-simulate job server: panic
-//! isolation inside a mixed batch, queue-full backpressure, and per-tenant
-//! cache namespaces under concurrent load.
+//! isolation inside a mixed batch, queue-full backpressure, draining on
+//! shutdown, and per-tenant cache namespaces under concurrent load.
 
 use std::sync::mpsc;
+use std::time::Duration;
 
 use compiler::{Compiler, CompilerOptions};
 use device::DeviceModel;
 use qmath::RngSeed;
-use server::{JobOp, JobRequest, JobServer, ServerError, WorkloadKind};
+use server::{JobOp, JobRequest, JobResponse, JobServer, ServerError, WorkloadKind};
 
 fn test_device() -> DeviceModel {
     DeviceModel::aspen8(RngSeed(1))
@@ -138,6 +139,79 @@ fn full_queue_rejects_with_overloaded_backpressure() {
     assert!(server
         .submit_request(request("bp", 100, JobOp::Compile))
         .is_ok());
+}
+
+/// Shutting down with a full backlog closes admission but drains the queue:
+/// every job admitted before `shutdown()` still resolves `Ok`, although the
+/// single worker only reaches the backlog once shutdown is under way.
+#[test]
+fn shutdown_drains_every_admitted_job() {
+    let server = test_server(1, 3);
+
+    let (release, gate) = mpsc::channel::<()>();
+    let parked = server
+        .submit_task(move || {
+            gate.recv().expect("test releases the gate");
+            Ok(JobResponse {
+                tenant: "gate".into(),
+                set: "S3".into(),
+                two_qubit_gates: 0,
+                swap_count: 0,
+                cache_hits: 0,
+                cache_misses: 0,
+                compile_micros: 0,
+                sim: None,
+            })
+        })
+        .unwrap();
+    // Wait until the worker has claimed the gate job (queue drains to 0).
+    while server.metrics().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+
+    let mut tickets = vec![parked];
+    for (seed, op) in [
+        (1, JobOp::Compile),
+        (2, JobOp::Simulate { shots: 16 }),
+        (3, JobOp::Compile),
+    ] {
+        tickets.push(server.submit_request(request("drain", seed, op)).unwrap());
+    }
+    assert!(matches!(
+        server.submit_request(request("drain", 99, JobOp::Compile)),
+        Err(ServerError::Overloaded { capacity: 3 })
+    ));
+
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            // Give shutdown() a head start, so the worker leaves the gate
+            // job with admission already closed. The server exposes no
+            // signal that shutdown has begun, so this only makes that order
+            // likely; every assertion below holds in either order.
+            std::thread::sleep(Duration::from_millis(50));
+            release.send(()).unwrap();
+        });
+        server.shutdown();
+    });
+    // Every worker has joined, so each job has run or been dropped; a
+    // dropped job's ticket would wait forever, hence the bounded receive.
+    let admitted = tickets.len();
+    let (done, results) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        for ticket in tickets {
+            done.send(ticket.wait())
+                .expect("the test receives every result");
+        }
+    });
+    for i in 0..admitted {
+        match results.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ok(_)) => {}
+            other => panic!("admitted job {i} did not complete across shutdown: {other:?}"),
+        }
+    }
+    waiter
+        .join()
+        .expect("the waiter thread only waits and sends");
 }
 
 /// Two tenants replaying the same seed-pinned mix concurrently get isolated
