@@ -235,7 +235,6 @@ impl Compiler {
         let mut stages = Stages {
             compiler: self,
             parent,
-            verifier: self.verify_level.is_enabled().then(Verifier::structural),
             report: CompileReport::default(),
         };
 
@@ -355,7 +354,6 @@ fn stage_name(stage: Stage) -> &'static str {
 struct Stages<'a> {
     compiler: &'a Compiler,
     parent: SpanId,
-    verifier: Option<Verifier>,
     report: CompileReport,
 }
 
@@ -396,11 +394,8 @@ impl Stages<'_> {
         if !self.due(snapshot.stage) {
             return;
         }
-        if let Some(verifier) = &self.verifier {
-            self.report
-                .diagnostics
-                .extend(verifier.run(&Artifact::Stage(snapshot)).into_diagnostics());
-        }
+        let report = Verifier::structural().run(&Artifact::Stage(snapshot));
+        self.report.diagnostics.extend(report.into_diagnostics());
     }
 }
 

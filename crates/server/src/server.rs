@@ -463,6 +463,22 @@ impl std::fmt::Debug for JobServer {
 }
 
 fn validate(request: &JobRequest) -> Result<(), ServerError> {
+    // The tenant is echoed into every response and into `metrics_json()`,
+    // whose writers carry no escape sequences.
+    if request.tenant.is_empty() {
+        return Err(ServerError::InvalidRequest {
+            reason: "tenant must be non-empty".into(),
+        });
+    }
+    if let Some(c) = request
+        .tenant
+        .chars()
+        .find(|&c| c == '"' || c == '\\' || c.is_control())
+    {
+        return Err(ServerError::InvalidRequest {
+            reason: format!("tenant must not contain {c:?}"),
+        });
+    }
     if request.qubits == 0 {
         return Err(ServerError::InvalidRequest {
             reason: "qubits must be positive".into(),
@@ -572,7 +588,7 @@ impl ServerBuilder {
     /// one trace carries the full job → stage → shard span tree, and
     /// [`JobServer::metrics_json`] grows per-stage latency histograms.
     /// Telemetry costs nothing until [`Collector::set_enabled`] turns the
-    /// collector on; sampling knobs live on the collector itself.
+    /// collector on.
     pub fn telemetry(mut self, collector: Arc<Collector>) -> Self {
         self.telemetry = Some(collector);
         self
@@ -722,6 +738,22 @@ mod tests {
                 op: JobOp::Simulate { shots: 1 },
                 ..compile_request("w", 1)
             }),
+            Err(ServerError::InvalidRequest { .. })
+        ));
+        // Tenants the flat JSON writers cannot carry are rejected, on the
+        // typed path and over the wire.
+        for tenant in ["", "q\"t", "q\\t", "tab\there", "nul\u{0}", "del\u{7f}"] {
+            let err = server.submit_request(compile_request(tenant, 1)).err();
+            assert!(
+                matches!(&err, Some(ServerError::InvalidRequest { reason }) if reason.contains("tenant")),
+                "{tenant:?}: {err:?}"
+            );
+        }
+        let raw_tab = compile_request("w", 1)
+            .encode()
+            .replace("\"w\"", "\"w\tx\"");
+        assert!(matches!(
+            server.submit_wire(&raw_tab),
             Err(ServerError::InvalidRequest { .. })
         ));
     }

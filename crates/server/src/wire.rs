@@ -261,7 +261,8 @@ enum Value {
 }
 
 /// Parses a single-level JSON object with string and unsigned-integer values.
-/// Escape sequences are rejected (no field this format carries needs them).
+/// Escape sequences are rejected (no field this format carries needs them),
+/// and so are the raw control characters RFC 8259 forbids in a string.
 fn parse_flat_object(text: &str) -> Result<Vec<(String, Value)>, WireError> {
     let mut chars = text.chars().peekable();
     let mut fields = Vec::new();
@@ -341,6 +342,11 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
         match c {
             '"' => return Ok(out),
             '\\' => return Err(WireError::new("escape sequences are not supported")),
+            c if c < '\u{20}' => {
+                return Err(WireError::new(format!(
+                    "raw control character {c:?} in a string"
+                )))
+            }
             c => out.push(c),
         }
     }
@@ -452,6 +458,9 @@ mod tests {
             (r#"{"tenant":"t" "set":"G3"}"#, "expected ',' or '}'"),
             (r#"{"tenant":"t"} trailing"#, "trailing"),
             (r#"{"tenant":"t\n"}"#, "escape"),
+            ("{\"tenant\":\"t\tx\"}", "control character"),
+            ("{\"tenant\":\"t\u{0}\"}", "control character"),
+            ("{\"ten\u{1f}ant\":\"t\"}", "control character"),
             ("not json", "expected '{'"),
         ];
         for (text, needle) in cases {

@@ -339,30 +339,13 @@ fn run_sweep(
         return;
     }
     let chunk = base_count.div_ceil(workers);
-    // Sweep spans go through the process-wide collector (these workers are
-    // too deep to thread an `Arc<Collector>` into) and only under its
-    // sampling gate: the check is one relaxed load when sampling is off, so
-    // the per-sweep kernel loop stays clean by default.
-    let collector = telemetry::global();
     std::thread::scope(|scope| {
         let kernel = &kernel;
         for w in 0..workers {
             let start = w * chunk;
             let end = (start + chunk).min(base_count);
             if start < end {
-                scope.spawn(move || {
-                    let mut span = telemetry::Span::enter_sampled(
-                        Some(collector),
-                        "sweep_range",
-                        telemetry::SpanId::NONE,
-                    );
-                    if span.recording() {
-                        span.set_attr("qubits", num_qubits as u64);
-                        span.set_attr("base_start", start as u64);
-                        span.set_attr("base_len", (end - start) as u64);
-                    }
-                    kernel(start..end);
-                });
+                scope.spawn(move || kernel(start..end));
             }
         }
     });
@@ -962,29 +945,6 @@ mod tests {
     use super::*;
     use gates::standard;
     use qmath::RngSeed;
-
-    #[test]
-    fn sampled_sweep_spans_reach_the_global_collector() {
-        // The global collector starts disabled; sweep spans only appear once
-        // both the enable and sampling knobs are set, and stop again after.
-        let collector = telemetry::global();
-        let mut state = StateVector::zero_state(4);
-        state.apply_one_qubit_with(&standard::h(), 0, 2, 2);
-        assert!(collector.completed_spans().is_empty());
-
-        collector.set_enabled(true);
-        collector.set_sampling(1);
-        let mut state = StateVector::zero_state(4);
-        state.apply_one_qubit_with(&standard::h(), 0, 2, 2);
-        collector.set_sampling(0);
-        collector.set_enabled(false);
-
-        let spans = collector.drain_spans();
-        assert!(
-            spans.iter().any(|s| s.name == "sweep_range"),
-            "expected at least one sweep span, got {spans:?}"
-        );
-    }
 
     #[test]
     fn zero_state_is_normalized() {

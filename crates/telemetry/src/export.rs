@@ -1,16 +1,15 @@
-//! Span exporters: flat JSON (server codec dialect) and Chrome Trace Event
-//! Format.
+//! Span exporter: Chrome Trace Event Format.
 //!
-//! Both renderers are pure functions of the span records, so output is
-//! byte-deterministic for a fixed input — which is what lets the golden
-//! tests pin them.
+//! The renderer is a pure function of the span records, so output is
+//! byte-deterministic for a fixed input — which is what lets the golden test
+//! pin it.
 
 use crate::span::{AttrValue, Span};
 
-/// Appends `text` with the flat-codec sanitization rules used by the server
-/// wire format and `verify` diagnostics: no escape sequences — `"` and `\`
-/// become `'`, other control characters become spaces.
-pub fn push_sanitized(out: &mut String, text: &str) {
+/// Appends `text` without escape sequences: `"` and `\` become `'`, other
+/// control characters become spaces (the same lossy rule as the server wire
+/// format and `verify` diagnostics).
+fn push_sanitized(out: &mut String, text: &str) {
     for ch in text.chars() {
         match ch {
             '"' | '\\' => out.push('\''),
@@ -21,8 +20,8 @@ pub fn push_sanitized(out: &mut String, text: &str) {
 }
 
 /// Appends `"key":"value"` (comma-separated) to a flat JSON object body.
-pub fn push_str_field(out: &mut String, key: &str, value: &str) {
-    if !out.is_empty() && !out.ends_with('{') && !out.ends_with('[') {
+fn push_str_field(out: &mut String, key: &str, value: &str) {
+    if !out.is_empty() && !out.ends_with('{') {
         out.push(',');
     }
     out.push('"');
@@ -33,43 +32,14 @@ pub fn push_str_field(out: &mut String, key: &str, value: &str) {
 }
 
 /// Appends `"key":N` (comma-separated) to a flat JSON object body.
-pub fn push_num_field(out: &mut String, key: &str, value: u64) {
-    if !out.is_empty() && !out.ends_with('{') && !out.ends_with('[') {
+fn push_num_field(out: &mut String, key: &str, value: u64) {
+    if !out.is_empty() && !out.ends_with('{') {
         out.push(',');
     }
     out.push('"');
     push_sanitized(out, key);
     out.push_str("\":");
     out.push_str(&value.to_string());
-}
-
-/// Renders spans as a JSON array of single-level objects in the flat server
-/// dialect: `name`, `id`, `parent`, `thread`, `start_micros`, `dur_micros`,
-/// then one `attr.<key>` field per attribute in recording order.
-pub fn spans_flat_json(spans: &[Span]) -> String {
-    let mut out = String::from("[");
-    for (index, span) in spans.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_str_field(&mut out, "name", span.name);
-        push_num_field(&mut out, "id", span.id.0);
-        push_num_field(&mut out, "parent", span.parent.0);
-        push_num_field(&mut out, "thread", span.thread);
-        push_num_field(&mut out, "start_micros", span.start_micros);
-        push_num_field(&mut out, "dur_micros", span.duration_micros);
-        for (key, value) in &span.attrs {
-            let attr_key = format!("attr.{key}");
-            match value {
-                AttrValue::U64(n) => push_num_field(&mut out, &attr_key, *n),
-                AttrValue::Str(s) => push_str_field(&mut out, &attr_key, s),
-            }
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
 }
 
 /// Renders spans in Chrome Trace Event Format — load the result in
@@ -140,15 +110,5 @@ mod tests {
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"span_id\":2,\"parent_id\":1"));
-    }
-
-    #[test]
-    fn flat_json_carries_attrs() {
-        let mut s = span(3, 1, "shard");
-        s.attrs.push(("shots", AttrValue::U64(64)));
-        s.attrs.push(("regime", AttrValue::Str("shot_parallel")));
-        let json = spans_flat_json(&[s]);
-        assert!(json.contains("\"attr.shots\":64"));
-        assert!(json.contains("\"attr.regime\":\"shot_parallel\""));
     }
 }

@@ -11,10 +11,9 @@
 //!   latency [`Histogram`]s with p50/p90/p99 quantile estimation. All
 //!   recording is relaxed atomics; registration is a lock + map lookup and
 //!   belongs outside per-shot loops.
-//! * **Two exporters** ([`export`]): the flat-JSON dialect the server wire
-//!   codec and `verify` diagnostics already speak, and Chrome Trace Event
-//!   Format (load the file in <https://ui.perfetto.dev> or `chrome://tracing`
-//!   for a flamegraph of one run).
+//! * **One exporter** ([`export::trace_json`]): Chrome Trace Event Format
+//!   (load the file in <https://ui.perfetto.dev> or `chrome://tracing` for a
+//!   flamegraph of one run).
 //!
 //! # Spans
 //!
@@ -53,17 +52,14 @@
 //! assert_eq!(collector.counter("cache_hits").get(), 3);
 //! // Quantile estimates are exact to within one log2 bucket.
 //! assert!(latency.quantile(0.5) >= 128 && latency.quantile(0.5) <= 255);
-//! let json = collector.registry().to_flat_json();
-//! assert!(json.contains("\"counter.cache_hits\":3"));
 //! ```
 //!
 //! # Overhead model
 //!
 //! Every instrumentation point in this workspace first checks
 //! [`Collector::enabled`] (one relaxed atomic load) — a disabled collector
-//! records nothing and allocates nothing. Per-amplitude kernel loops are
-//! additionally gated behind [`Collector::set_sampling`], so the 1q sweep
-//! stays clean even when telemetry is on.
+//! records nothing and allocates nothing. The amplitude sweeps record no
+//! spans at all; their cost shows in the engine's `simulate` span.
 
 #![warn(missing_docs)]
 
@@ -71,22 +67,5 @@ pub mod export;
 pub mod metrics;
 pub mod span;
 
-use std::sync::{Arc, OnceLock};
-
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use span::{AttrValue, Collector, Span, SpanGuard, SpanId};
-
-static GLOBAL: OnceLock<Arc<Collector>> = OnceLock::new();
-
-/// The process-wide collector used by instrumentation points too deep to
-/// thread an `Arc<Collector>` through (the statevector sweep workers).
-/// Starts **disabled**; enable it (and set a sampling rate) explicitly when a
-/// run wants sweep-level spans:
-///
-/// ```
-/// let global = telemetry::global();
-/// assert!(!global.enabled());
-/// ```
-pub fn global() -> &'static Arc<Collector> {
-    GLOBAL.get_or_init(|| Arc::new(Collector::disabled()))
-}

@@ -222,24 +222,6 @@ impl Registry {
         created
     }
 
-    /// Name + handle of every registered counter, sorted by name.
-    pub fn counters(&self) -> Vec<(String, Arc<Counter>)> {
-        self.counters
-            .lock()
-            .iter()
-            .map(|(name, counter)| (name.clone(), Arc::clone(counter)))
-            .collect()
-    }
-
-    /// Name + handle of every registered gauge, sorted by name.
-    pub fn gauges(&self) -> Vec<(String, Arc<Gauge>)> {
-        self.gauges
-            .lock()
-            .iter()
-            .map(|(name, gauge)| (name.clone(), Arc::clone(gauge)))
-            .collect()
-    }
-
     /// Name + handle of every registered histogram, sorted by name.
     pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
         self.histograms
@@ -247,62 +229,6 @@ impl Registry {
             .iter()
             .map(|(name, histogram)| (name.clone(), Arc::clone(histogram)))
             .collect()
-    }
-
-    /// Renders every metric as one flat JSON object (the single-level
-    /// `"key":value` dialect the server codec speaks): counters as
-    /// `"counter.<name>":N`, gauges as `"gauge.<name>":N`, histograms as
-    /// `"histogram.<name>.{count,p50,p90,p99,max}":N`. Keys are sorted, so
-    /// the output is deterministic for a given set of recorded values.
-    pub fn to_flat_json(&self) -> String {
-        let mut out = String::from("{");
-        for (name, counter) in self.counters() {
-            crate::export::push_num_field(&mut out, &format!("counter.{name}"), counter.get());
-        }
-        for (name, gauge) in self.gauges() {
-            let value = gauge.get();
-            if value < 0 {
-                // The flat codec has no signed helper; inline the negative.
-                if out.len() > 1 {
-                    out.push(',');
-                }
-                out.push('"');
-                crate::export::push_sanitized(&mut out, &format!("gauge.{name}"));
-                out.push_str("\":");
-                out.push_str(&value.to_string());
-            } else {
-                crate::export::push_num_field(&mut out, &format!("gauge.{name}"), value as u64);
-            }
-        }
-        for (name, histogram) in self.histograms() {
-            crate::export::push_num_field(
-                &mut out,
-                &format!("histogram.{name}.count"),
-                histogram.count(),
-            );
-            crate::export::push_num_field(
-                &mut out,
-                &format!("histogram.{name}.p50"),
-                histogram.p50(),
-            );
-            crate::export::push_num_field(
-                &mut out,
-                &format!("histogram.{name}.p90"),
-                histogram.p90(),
-            );
-            crate::export::push_num_field(
-                &mut out,
-                &format!("histogram.{name}.p99"),
-                histogram.p99(),
-            );
-            crate::export::push_num_field(
-                &mut out,
-                &format!("histogram.{name}.max"),
-                histogram.max(),
-            );
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -349,8 +275,5 @@ mod tests {
         assert_eq!(registry.counter("hits").get(), 3);
         registry.gauge("depth").set(-4);
         assert_eq!(registry.gauge("depth").get(), -4);
-        let json = registry.to_flat_json();
-        assert!(json.contains("\"counter.hits\":3"));
-        assert!(json.contains("\"gauge.depth\":-4"));
     }
 }

@@ -1,7 +1,7 @@
 //! Hierarchical spans and the collector that stores them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,18 +92,6 @@ impl Span {
         start: Instant,
     ) -> SpanGuard {
         SpanGuard::new(collector, name, parent, start)
-    }
-
-    /// Like [`Span::enter_child`], but additionally gated behind the
-    /// collector's sampling rate ([`Collector::set_sampling`]) — the entry
-    /// point for per-worker sweep spans inside amplitude kernels.
-    pub fn enter_sampled(
-        collector: Option<&Arc<Collector>>,
-        name: &'static str,
-        parent: SpanId,
-    ) -> SpanGuard {
-        let sampled = collector.filter(|c| c.sample());
-        SpanGuard::new(sampled, name, parent, Instant::now())
     }
 }
 
@@ -221,9 +209,6 @@ pub fn current_thread_id() -> u64 {
 /// (oldest evicted first) sized at construction.
 pub struct Collector {
     enabled: AtomicBool,
-    /// Record one in `sampling` sampled spans; 0 disables sampled spans.
-    sampling: AtomicUsize,
-    sample_counter: AtomicUsize,
     next_id: AtomicU64,
     epoch: Instant,
     capacity: usize,
@@ -239,7 +224,7 @@ impl Default for Collector {
 
 impl Collector {
     /// An enabled collector holding up to [`DEFAULT_SPAN_CAPACITY`] completed
-    /// spans (sampled spans off until [`Collector::set_sampling`]).
+    /// spans.
     pub fn new() -> Collector {
         Collector::with_capacity(DEFAULT_SPAN_CAPACITY)
     }
@@ -249,8 +234,6 @@ impl Collector {
     pub fn with_capacity(capacity: usize) -> Collector {
         Collector {
             enabled: AtomicBool::new(true),
-            sampling: AtomicUsize::new(0),
-            sample_counter: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
             capacity: capacity.max(1),
@@ -275,25 +258,6 @@ impl Collector {
     /// point: one relaxed load, no allocation.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Sets the rate for [`Span::enter_sampled`] spans: record one in
-    /// `every` (0, the default, disables them entirely). High-frequency
-    /// instrumentation points (per-worker amplitude sweeps) use sampled
-    /// spans so full tracing does not perturb the kernels it measures.
-    pub fn set_sampling(&self, every: usize) {
-        self.sampling.store(every, Ordering::Relaxed);
-    }
-
-    /// True when the next sampled span should record.
-    pub(crate) fn sample(&self) -> bool {
-        let every = self.sampling.load(Ordering::Relaxed);
-        if every == 0 {
-            return false;
-        }
-        self.sample_counter
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
     }
 
     pub(crate) fn next_span_id(&self) -> SpanId {

@@ -1,4 +1,4 @@
-//! Golden-file tests for both span exporters.
+//! Golden-file test for the span exporter.
 //!
 //! The rendered bytes are part of the replay `--trace` output and the
 //! server's `/trace` surface, so any drift must be a conscious decision.
@@ -8,7 +8,7 @@
 //! BLESS=1 cargo test -p telemetry --test golden_json
 //! ```
 
-use telemetry::export::{spans_flat_json, trace_json};
+use telemetry::export::trace_json;
 use telemetry::{AttrValue, Span, SpanId};
 
 fn check_golden(name: &str, rendered: &str) {
@@ -91,9 +91,4 @@ fn sample_spans() -> Vec<Span> {
 #[test]
 fn trace_event_export_matches_golden() {
     check_golden("trace_events.json", &trace_json(&sample_spans()));
-}
-
-#[test]
-fn flat_span_export_matches_golden() {
-    check_golden("spans_flat.json", &spans_flat_json(&sample_spans()));
 }

@@ -4,7 +4,8 @@
 //! compared bit-for-bit against a `Safe` run — the two lowerings are equal *in
 //! distribution*, not per shot. This module provides the statistical
 //! replacement for the bit-identity check: a neutral two-sample view
-//! ([`DistributionArtifact`]) and the [`TvdBound`] rule, which tests the
+//! ([`DistributionArtifact`]) and the `fusion/tvd-bound` rule, run by
+//! [`Verifier::statistical`](crate::Verifier::statistical), which tests the
 //! empirical total-variation distance between the two count histograms
 //! against an analytic concentration bound.
 //!
@@ -28,7 +29,10 @@
 //! enough samples are available.
 
 use crate::diagnostic::Diagnostic;
-use crate::rule::{Artifact, Context, Rule};
+
+/// Confidence level `1 − δ` of the `fusion/tvd-bound` rule's analytic bound
+/// (the probability that two same-distribution samples stay within it).
+const TVD_CONFIDENCE: f64 = 0.999_999;
 
 /// Two empirical count histograms over the same register that are claimed to
 /// be drawn from the same distribution.
@@ -111,123 +115,105 @@ pub fn marginal_probabilities(num_qubits: usize, counts: &[(usize, usize)]) -> V
 /// enough to be meaningful: `min(Nₐ, N_b) ≥ FULL_CHECK_SAMPLE_FACTOR · 2^n`.
 const FULL_CHECK_SAMPLE_FACTOR: usize = 4;
 
-/// `fusion/tvd-bound`: two count histograms that are claimed to share a
-/// distribution stay within the analytic TVD bound.
+/// `fusion/tvd-bound`, the one statistical rule: two count histograms that
+/// are claimed to share a distribution stay within the analytic TVD bound.
 ///
 /// Always checks every per-qubit marginal (`d = 2`, union bound over qubits);
 /// additionally checks the full `2^n`-outcome distribution when both samples
 /// have at least `FULL_CHECK_SAMPLE_FACTOR·2^n` shots. When every check
 /// passes, an info finding reports the measured distances so harnesses can
 /// log distance-vs-bound.
-#[derive(Debug, Default)]
-pub struct TvdBound;
-
-impl Rule for TvdBound {
-    fn id(&self) -> &'static str {
-        "fusion/tvd-bound"
+pub(crate) fn check(art: &DistributionArtifact<'_>) -> Vec<Diagnostic> {
+    const ID: &str = "fusion/tvd-bound";
+    let mut out = Vec::new();
+    let (na, nb) = (total(art.counts_a), total(art.counts_b));
+    if na == 0 || nb == 0 || art.num_qubits == 0 {
+        out.push(Diagnostic::info(
+            ID,
+            format!(
+                "TVD check skipped: empty sample ({} has {na} shots, {} has {nb})",
+                art.label_a, art.label_b
+            ),
+        ));
+        return out;
     }
+    let delta = (1.0 - TVD_CONFIDENCE).max(f64::MIN_POSITIVE);
+    let mut failed = false;
 
-    fn description(&self) -> &'static str {
-        "two same-distribution count samples stay within the analytic TVD bound"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Distributions(art) = artifact else {
-            return;
-        };
-        let (na, nb) = (total(art.counts_a), total(art.counts_b));
-        if na == 0 || nb == 0 || art.num_qubits == 0 {
-            out.push(Diagnostic::info(
-                self.id(),
+    // Per-qubit marginals: d = 2, δ split across qubits (union bound).
+    let marginal_delta = delta / art.num_qubits as f64;
+    let marginal_limit = tvd_bound(2, na, nb, marginal_delta);
+    let ma = marginal_probabilities(art.num_qubits, art.counts_a);
+    let mb = marginal_probabilities(art.num_qubits, art.counts_b);
+    let mut worst_marginal = 0.0f64;
+    for (q, (pa, pb)) in ma.iter().zip(&mb).enumerate() {
+        let dist = (pa - pb).abs();
+        worst_marginal = worst_marginal.max(dist);
+        if dist > marginal_limit {
+            failed = true;
+            out.push(Diagnostic::error(
+                ID,
                 format!(
-                    "TVD check skipped: empty sample ({} has {na} shots, {} has {nb})",
-                    art.label_a, art.label_b
-                ),
-            ));
-            return;
-        }
-        let delta = (1.0 - ctx.tvd_confidence).max(f64::MIN_POSITIVE);
-        let mut failed = false;
-
-        // Per-qubit marginals: d = 2, δ split across qubits (union bound).
-        let marginal_delta = delta / art.num_qubits as f64;
-        let marginal_limit = tvd_bound(2, na, nb, marginal_delta);
-        let ma = marginal_probabilities(art.num_qubits, art.counts_a);
-        let mb = marginal_probabilities(art.num_qubits, art.counts_b);
-        let mut worst_marginal = 0.0f64;
-        for (q, (pa, pb)) in ma.iter().zip(&mb).enumerate() {
-            let dist = (pa - pb).abs();
-            worst_marginal = worst_marginal.max(dist);
-            if dist > marginal_limit {
-                failed = true;
-                out.push(Diagnostic::error(
-                    self.id(),
-                    format!(
-                        "qubit {q} marginal diverges: |{pa:.4} − {pb:.4}| = {dist:.4} exceeds \
-                         the {marginal_limit:.4} bound ({} {na} shots vs {} {nb} shots)",
-                        art.label_a, art.label_b
-                    ),
-                ));
-            }
-        }
-
-        // Full-distribution check only when the samples can resolve it.
-        let dim = 1usize
-            .checked_shl(art.num_qubits as u32)
-            .unwrap_or(usize::MAX);
-        let full = if dim
-            .checked_mul(FULL_CHECK_SAMPLE_FACTOR)
-            .is_some_and(|needed| na.min(nb) >= needed)
-        {
-            let measured = two_sample_tvd(art.counts_a, art.counts_b);
-            let limit = tvd_bound(dim, na, nb, delta);
-            if measured > limit {
-                failed = true;
-                out.push(Diagnostic::error(
-                    self.id(),
-                    format!(
-                        "full-distribution TVD {measured:.4} exceeds the {limit:.4} bound \
-                         ({} {na} shots vs {} {nb} shots over {dim} outcomes)",
-                        art.label_a, art.label_b
-                    ),
-                ));
-            }
-            Some((measured, limit))
-        } else {
-            None
-        };
-
-        if !failed {
-            let full_part = match full {
-                Some((measured, limit)) => {
-                    format!("; full TVD {measured:.4} within {limit:.4}")
-                }
-                None => format!(
-                    "; full-distribution check skipped ({} shots < {FULL_CHECK_SAMPLE_FACTOR}×{dim})",
-                    na.min(nb)
-                ),
-            };
-            out.push(Diagnostic::info(
-                self.id(),
-                format!(
-                    "{} and {} agree: worst marginal distance {worst_marginal:.4} within \
-                     {marginal_limit:.4}{full_part}",
+                    "qubit {q} marginal diverges: |{pa:.4} − {pb:.4}| = {dist:.4} exceeds \
+                     the {marginal_limit:.4} bound ({} {na} shots vs {} {nb} shots)",
                     art.label_a, art.label_b
                 ),
             ));
         }
     }
-}
 
-/// All statistical distribution rules, in evaluation order.
-pub fn statistical_rules() -> Vec<Box<dyn Rule>> {
-    vec![Box::new(TvdBound)]
+    // Full-distribution check only when the samples can resolve it.
+    let dim = 1usize
+        .checked_shl(art.num_qubits as u32)
+        .unwrap_or(usize::MAX);
+    let full = if dim
+        .checked_mul(FULL_CHECK_SAMPLE_FACTOR)
+        .is_some_and(|needed| na.min(nb) >= needed)
+    {
+        let measured = two_sample_tvd(art.counts_a, art.counts_b);
+        let limit = tvd_bound(dim, na, nb, delta);
+        if measured > limit {
+            failed = true;
+            out.push(Diagnostic::error(
+                ID,
+                format!(
+                    "full-distribution TVD {measured:.4} exceeds the {limit:.4} bound \
+                     ({} {na} shots vs {} {nb} shots over {dim} outcomes)",
+                    art.label_a, art.label_b
+                ),
+            ));
+        }
+        Some((measured, limit))
+    } else {
+        None
+    };
+
+    if !failed {
+        let full_part = match full {
+            Some((measured, limit)) => {
+                format!("; full TVD {measured:.4} within {limit:.4}")
+            }
+            None => format!(
+                "; full-distribution check skipped ({} shots < {FULL_CHECK_SAMPLE_FACTOR}×{dim})",
+                na.min(nb)
+            ),
+        };
+        out.push(Diagnostic::info(
+            ID,
+            format!(
+                "{} and {} agree: worst marginal distance {worst_marginal:.4} within \
+                 {marginal_limit:.4}{full_part}",
+                art.label_a, art.label_b
+            ),
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule::Verifier;
+    use crate::rule::{Artifact, Verifier};
     use crate::Severity;
 
     fn run(art: &DistributionArtifact<'_>) -> crate::VerifyReport {

@@ -3,15 +3,34 @@
 //! The simulator lowers circuits into streams of `Mat2`/`Mat4` kernels with
 //! attached Kraus channels (and optionally fuses adjacent kernels). This
 //! module defines a neutral, simulator-independent view of such a stream —
-//! [`KernelOp`] — and the rules that prove a stream is semantically sound:
-//! every kernel unitary, every channel trace-preserving, and a fused stream
-//! both equivalent to its unfused baseline (up to global phase) and consuming
-//! randomness in exactly the same order.
+//! [`KernelOp`] — and the rules, run by
+//! [`Verifier::semantic`](crate::Verifier::semantic) in this order, that
+//! prove a stream is semantically sound:
+//!
+//! 1. `kernel/unitarity`: every kernel unitary;
+//! 2. `channel/kraus-completeness`: every channel trace-preserving;
+//! 3. `fusion/rng-order`: a `Safe`-fused stream consuming randomness in
+//!    exactly the order of its unfused baseline;
+//! 4. `channel/composition`: an `Aggressive`-fused stream's composed
+//!    channels tightly trace-preserving, with no more draws than the
+//!    baseline;
+//! 5. `fusion/equivalence`: a fused stream equivalent to its baseline (up to
+//!    global phase).
 
 use qmath::{Complex, Mat2, Mat4, SmallMat};
 
 use crate::diagnostic::Diagnostic;
-use crate::rule::{Artifact, Context, Rule};
+use crate::rule::TOLERANCE;
+
+/// Widest register (in qubits) the `fusion/equivalence` spot check
+/// propagates a probe state through; wider registers are skipped with an
+/// info finding.
+const EQUIVALENCE_MAX_QUBITS: usize = 16;
+
+/// Completeness tolerance for *composed* channels (`channel/composition`):
+/// conjugation and composition preserve trace preservation exactly in exact
+/// arithmetic, so drift beyond rounding noise indicates broken carry math.
+const COMPOSED_TOLERANCE: f64 = 1e-9;
 
 /// The unitary kernel of one lowered operation.
 #[derive(Debug, Clone, Copy)]
@@ -83,42 +102,57 @@ pub struct KernelArtifact<'a> {
     /// Whether the lowering promises to preserve the baseline's RNG draw
     /// sequence verbatim (`FusionPolicy::Off`/`Safe`). When `false`
     /// (`FusionPolicy::Aggressive` carried channels past kernels), the
-    /// [`RngOrderAudit`] does not apply and [`ChannelComposition`] checks the
-    /// composed channels instead.
+    /// `fusion/rng-order` audit does not apply and the `channel/composition`
+    /// rule checks the composed channels instead.
     pub rng_order_exact: bool,
+}
+
+/// The semantic rules over `art`, in evaluation order.
+pub(crate) fn check(art: &KernelArtifact<'_>) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    unitarity(art, &mut out);
+    kraus_completeness(art, &mut out);
+    rng_order(art, &mut out);
+    channel_composition(art, &mut out);
+    fusion_equivalence(art, &mut out);
+    out
 }
 
 /// `kernel/unitarity`: every non-silent kernel matrix is unitary within
 /// tolerance.
-#[derive(Debug, Default)]
-pub struct KernelUnitarity;
-
-impl Rule for KernelUnitarity {
-    fn id(&self) -> &'static str {
-        "kernel/unitarity"
-    }
-
-    fn description(&self) -> &'static str {
-        "every lowered (possibly fused) kernel matrix is unitary"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Kernels(art) = artifact else {
-            return;
+fn unitarity(art: &KernelArtifact<'_>, out: &mut Vec<Diagnostic>) {
+    for op in art.ops {
+        let ok = match &op.kind {
+            KernelKind::One { matrix, .. } => matrix.is_unitary(TOLERANCE),
+            KernelKind::Two { matrix, .. } => matrix.is_unitary(TOLERANCE),
+            KernelKind::Silent => true,
         };
-        for op in art.ops {
-            let ok = match &op.kind {
-                KernelKind::One { matrix, .. } => matrix.is_unitary(ctx.tolerance),
-                KernelKind::Two { matrix, .. } => matrix.is_unitary(ctx.tolerance),
-                KernelKind::Silent => true,
-            };
-            if !ok {
+        if !ok {
+            out.push(
+                Diagnostic::error(
+                    "kernel/unitarity",
+                    format!("kernel {} is not unitary within {TOLERANCE:.0e}", op.index),
+                )
+                .at_op(op.index),
+            );
+        }
+    }
+}
+
+/// `channel/kraus-completeness`: every attached channel satisfies
+/// `Σ K†K = I` within tolerance (trace preservation).
+fn kraus_completeness(art: &KernelArtifact<'_>, out: &mut Vec<Diagnostic>) {
+    for op in art.ops {
+        for channel in &op.channels {
+            let deviation = channel_deviation(channel);
+            if deviation > TOLERANCE {
                 out.push(
                     Diagnostic::error(
-                        self.id(),
+                        "channel/kraus-completeness",
                         format!(
-                            "kernel {} is not unitary within {:.0e}",
-                            op.index, ctx.tolerance
+                            "channel on qubits {:?} of op {} deviates from completeness \
+                             by {deviation:.2e}",
+                            channel.qubits, op.index
                         ),
                     )
                     .at_op(op.index),
@@ -128,45 +162,11 @@ impl Rule for KernelUnitarity {
     }
 }
 
-/// `channel/kraus-completeness`: every attached channel satisfies
-/// `Σ K†K = I` within tolerance (trace preservation).
-#[derive(Debug, Default)]
-pub struct KrausCompleteness;
-
-impl Rule for KrausCompleteness {
-    fn id(&self) -> &'static str {
-        "channel/kraus-completeness"
-    }
-
-    fn description(&self) -> &'static str {
-        "every attached Kraus channel is trace-preserving (sum of K-dagger-K is identity)"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Kernels(art) = artifact else {
-            return;
-        };
-        for op in art.ops {
-            for channel in &op.channels {
-                let deviation = match &channel.kraus {
-                    ChannelKraus::One(ops) => completeness_deviation(ops),
-                    ChannelKraus::Two(ops) => completeness_deviation(ops),
-                };
-                if deviation > ctx.tolerance {
-                    out.push(
-                        Diagnostic::error(
-                            self.id(),
-                            format!(
-                                "channel on qubits {:?} of op {} deviates from completeness \
-                                 by {deviation:.2e}",
-                                channel.qubits, op.index
-                            ),
-                        )
-                        .at_op(op.index),
-                    );
-                }
-            }
-        }
+/// Max-entry deviation of a channel's `Σ K†K` from the identity.
+fn channel_deviation(channel: &ChannelView) -> f64 {
+    match &channel.kraus {
+        ChannelKraus::One(ops) => completeness_deviation(ops),
+        ChannelKraus::Two(ops) => completeness_deviation(ops),
     }
 }
 
@@ -184,61 +184,46 @@ fn completeness_deviation<const N: usize>(ops: &[SmallMat<N>]) -> f64 {
 /// `FusionPolicy::Safe` invariant: fusion may only move kernels past
 /// channel-free ops, so the sequence of RNG-consuming channels (targets and
 /// Kraus operators alike) must be preserved verbatim.
-#[derive(Debug, Default)]
-pub struct RngOrderAudit;
-
-impl Rule for RngOrderAudit {
-    fn id(&self) -> &'static str {
-        "fusion/rng-order"
+fn rng_order(art: &KernelArtifact<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "fusion/rng-order";
+    if !art.rng_order_exact {
+        // Aggressive fusion deliberately reorders and composes draws; the
+        // channel/composition rule covers that lowering instead.
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "a fused stream preserves the baseline's order of RNG-consuming channels"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Kernels(art) = artifact else {
-            return;
-        };
-        if !art.rng_order_exact {
-            // Aggressive fusion deliberately reorders and composes draws; the
-            // ChannelComposition rule covers that lowering instead.
-            return;
-        }
-        let Some(baseline) = art.baseline else {
-            return;
-        };
-        let fused_events = rng_events(art.ops);
-        let base_events = rng_events(baseline);
-        for (position, (fused, base)) in fused_events.iter().zip(&base_events).enumerate() {
-            if let Some(reason) = events_differ(fused, base, ctx.tolerance) {
-                out.push(
-                    Diagnostic::error(
-                        self.id(),
-                        format!(
-                            "RNG draw {position} diverges from the baseline ({reason}); \
-                             fusion reordered noise"
-                        ),
-                    )
-                    .at_op(fused.op_index),
-                );
-                return;
-            }
-        }
-        if fused_events.len() != base_events.len() {
-            let mut d = Diagnostic::error(
-                self.id(),
-                format!(
-                    "fused stream consumes {} RNG draws but the baseline consumes {}",
-                    fused_events.len(),
-                    base_events.len()
-                ),
+    let Some(baseline) = art.baseline else {
+        return;
+    };
+    let fused_events = rng_events(art.ops);
+    let base_events = rng_events(baseline);
+    for (position, (fused, base)) in fused_events.iter().zip(&base_events).enumerate() {
+        if let Some(reason) = events_differ(fused, base, TOLERANCE) {
+            out.push(
+                Diagnostic::error(
+                    ID,
+                    format!(
+                        "RNG draw {position} diverges from the baseline ({reason}); \
+                         fusion reordered noise"
+                    ),
+                )
+                .at_op(fused.op_index),
             );
-            if let Some(event) = fused_events.get(base_events.len()) {
-                d = d.at_op(event.op_index);
-            }
-            out.push(d);
+            return;
         }
+    }
+    if fused_events.len() != base_events.len() {
+        let mut d = Diagnostic::error(
+            ID,
+            format!(
+                "fused stream consumes {} RNG draws but the baseline consumes {}",
+                fused_events.len(),
+                base_events.len()
+            ),
+        );
+        if let Some(event) = fused_events.get(base_events.len()) {
+            d = d.at_op(event.op_index);
+        }
+        out.push(d);
     }
 }
 
@@ -301,63 +286,45 @@ fn kraus_differ<const N: usize>(a: &[SmallMat<N>], b: &[SmallMat<N>], tol: f64) 
 /// Conjugating a Kraus set by a unitary and composing trace-preserving
 /// channels both preserve completeness *exactly* in exact arithmetic, so the
 /// composed channels must satisfy `Σ K†K = I` within the much tighter
-/// [`Context::composed_tolerance`] — numerical drift here means the carry
-/// math is wrong, not that the inputs were loose. Against a baseline, the
-/// composed stream must also consume at most the baseline's number of draws
+/// [`COMPOSED_TOLERANCE`] — numerical drift here means the carry math is
+/// wrong, not that the inputs were loose. Against a baseline, the composed
+/// stream must also consume at most the baseline's number of draws
 /// (composition only ever merges draws).
-#[derive(Debug, Default)]
-pub struct ChannelComposition;
-
-impl Rule for ChannelComposition {
-    fn id(&self) -> &'static str {
-        "channel/composition"
+fn channel_composition(art: &KernelArtifact<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "channel/composition";
+    if art.rng_order_exact {
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "composed/conjugated channels stay tightly trace-preserving and never add RNG draws"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Kernels(art) = artifact else {
-            return;
-        };
-        if art.rng_order_exact {
-            return;
-        }
-        for op in art.ops {
-            for channel in &op.channels {
-                let deviation = match &channel.kraus {
-                    ChannelKraus::One(ops) => completeness_deviation(ops),
-                    ChannelKraus::Two(ops) => completeness_deviation(ops),
-                };
-                if deviation > ctx.composed_tolerance {
-                    out.push(
-                        Diagnostic::error(
-                            self.id(),
-                            format!(
-                                "composed channel on qubits {:?} of op {} deviates from \
-                                 completeness by {deviation:.2e} (composition must preserve \
-                                 it within {:.0e})",
-                                channel.qubits, op.index, ctx.composed_tolerance
-                            ),
-                        )
-                        .at_op(op.index),
-                    );
-                }
+    for op in art.ops {
+        for channel in &op.channels {
+            let deviation = channel_deviation(channel);
+            if deviation > COMPOSED_TOLERANCE {
+                out.push(
+                    Diagnostic::error(
+                        ID,
+                        format!(
+                            "composed channel on qubits {:?} of op {} deviates from \
+                             completeness by {deviation:.2e} (composition must preserve \
+                             it within {COMPOSED_TOLERANCE:.0e})",
+                            channel.qubits, op.index
+                        ),
+                    )
+                    .at_op(op.index),
+                );
             }
         }
-        if let Some(baseline) = art.baseline {
-            let fused_draws = rng_events(art.ops).len();
-            let base_draws = rng_events(baseline).len();
-            if fused_draws > base_draws {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    format!(
-                        "composed stream consumes {fused_draws} RNG draws but the baseline \
-                         consumes {base_draws}; channel composition may only merge draws"
-                    ),
-                ));
-            }
+    }
+    if let Some(baseline) = art.baseline {
+        let fused_draws = rng_events(art.ops).len();
+        let base_draws = rng_events(baseline).len();
+        if fused_draws > base_draws {
+            out.push(Diagnostic::error(
+                ID,
+                format!(
+                    "composed stream consumes {fused_draws} RNG draws but the baseline \
+                     consumes {base_draws}; channel composition may only merge draws"
+                ),
+            ));
         }
     }
 }
@@ -365,49 +332,35 @@ impl Rule for ChannelComposition {
 /// `fusion/equivalence`: phase-insensitive spot check that the fused stream's
 /// overall unitary action equals the baseline's. Both streams are applied to
 /// a fixed non-degenerate probe state; the final states must coincide up to a
-/// global phase. Registers wider than [`Context::equivalence_max_qubits`] are
-/// skipped with an [`Info`](crate::Severity::Info) finding.
-#[derive(Debug, Default)]
-pub struct FusionEquivalence;
-
-impl Rule for FusionEquivalence {
-    fn id(&self) -> &'static str {
-        "fusion/equivalence"
+/// global phase. Registers wider than [`EQUIVALENCE_MAX_QUBITS`] are skipped
+/// with an info finding.
+fn fusion_equivalence(art: &KernelArtifact<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "fusion/equivalence";
+    let Some(baseline) = art.baseline else {
+        return;
+    };
+    if art.num_qubits > EQUIVALENCE_MAX_QUBITS {
+        out.push(Diagnostic::info(
+            ID,
+            format!(
+                "equivalence spot check skipped: {} qubits exceeds the \
+                 {EQUIVALENCE_MAX_QUBITS}-qubit limit",
+                art.num_qubits
+            ),
+        ));
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "fused and unfused streams act identically (up to global phase) on a probe state"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Kernels(art) = artifact else {
-            return;
-        };
-        let Some(baseline) = art.baseline else {
-            return;
-        };
-        if art.num_qubits > ctx.equivalence_max_qubits {
-            out.push(Diagnostic::info(
-                self.id(),
-                format!(
-                    "equivalence spot check skipped: {} qubits exceeds the {}-qubit limit",
-                    art.num_qubits, ctx.equivalence_max_qubits
-                ),
-            ));
-            return;
-        }
-        let fused_state = apply_stream(art.num_qubits, art.ops);
-        let base_state = apply_stream(art.num_qubits, baseline);
-        let overlap = state_overlap(&fused_state, &base_state);
-        if (overlap - 1.0).abs() > ctx.tolerance {
-            out.push(Diagnostic::error(
-                self.id(),
-                format!(
-                    "fused stream diverges from the baseline: probe-state overlap {overlap:.6} \
-                     (1.0 expected)"
-                ),
-            ));
-        }
+    let fused_state = apply_stream(art.num_qubits, art.ops);
+    let base_state = apply_stream(art.num_qubits, baseline);
+    let overlap = state_overlap(&fused_state, &base_state);
+    if (overlap - 1.0).abs() > TOLERANCE {
+        out.push(Diagnostic::error(
+            ID,
+            format!(
+                "fused stream diverges from the baseline: probe-state overlap {overlap:.6} \
+                 (1.0 expected)"
+            ),
+        ));
     }
 }
 
@@ -491,15 +444,4 @@ fn state_overlap(a: &[Complex], b: &[Complex]) -> f64 {
         norm_b += y.norm_sqr();
     }
     inner.norm() / (norm_a.sqrt() * norm_b.sqrt()).max(f64::MIN_POSITIVE)
-}
-
-/// All semantic kernel rules, in evaluation order.
-pub fn semantic_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(KernelUnitarity),
-        Box::new(KrausCompleteness),
-        Box::new(RngOrderAudit),
-        Box::new(ChannelComposition),
-        Box::new(FusionEquivalence),
-    ]
 }

@@ -6,19 +6,24 @@
 //! ([`StageSnapshot`] for pipeline stages, [`KernelArtifact`] for lowered
 //! kernel streams) and get back a [`VerifyReport`] of [`Diagnostic`]s.
 //!
-//! * [`diagnostic`] — severities, op-index spans, findings, and the flat-JSON
-//!   rendering shared with the server wire codec.
-//! * [`rule`] — the composable [`Rule`] trait, the [`Artifact`] the rules
-//!   inspect, and the [`Verifier`] driver.
-//! * [`stage`] — structural legality rules for the compilation pipeline
-//!   (bounds, post-routing coupling, post-decomposition instruction-set
-//!   conformance, layout bijections, swap/permutation consistency).
-//! * [`kernel`] — semantic rules for lowered simulation kernels (unitarity,
-//!   Kraus completeness, fused-vs-unfused equivalence, RNG draw-order audit,
-//!   composed-channel sanity for aggressive fusion).
-//! * [`distribution`] — statistical rules over measurement-count histograms
-//!   (the TVD-bound harness validating `FusionPolicy::Aggressive` against
-//!   `Safe`, where bit-identity no longer holds).
+//! A [`Verifier`] ([`rule`]) runs one of three fixed rule lists over an
+//! [`Artifact`]:
+//!
+//! * [`stage`] — [`Verifier::structural`]: legality of the compilation
+//!   pipeline's stages (bounds, post-routing coupling, post-decomposition
+//!   instruction-set conformance, layout bijections, swap/permutation
+//!   consistency).
+//! * [`kernel`] — [`Verifier::semantic`]: soundness of lowered simulation
+//!   kernels (unitarity, Kraus completeness, RNG draw-order audit,
+//!   composed-channel sanity for aggressive fusion, fused-vs-unfused
+//!   equivalence).
+//! * [`distribution`] — [`Verifier::statistical`]: agreement of two
+//!   measurement-count histograms (the TVD-bound harness validating
+//!   `FusionPolicy::Aggressive` against `Safe`, where bit-identity no longer
+//!   holds).
+//!
+//! [`diagnostic`] holds the severities, op-index spans, findings and their
+//! flat-JSON rendering.
 //!
 //! # Example
 //!
@@ -62,5 +67,5 @@ pub mod stage;
 pub use diagnostic::{Diagnostic, Severity, Span, VerifyReport};
 pub use distribution::{marginal_probabilities, tvd_bound, two_sample_tvd, DistributionArtifact};
 pub use kernel::{ChannelKraus, ChannelView, KernelArtifact, KernelKind, KernelOp};
-pub use rule::{Artifact, Context, Rule, Verifier, VerifyLevel};
+pub use rule::{Artifact, Verifier, VerifyLevel};
 pub use stage::{Stage, StageSnapshot};

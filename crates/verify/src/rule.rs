@@ -1,14 +1,17 @@
-//! The composable rule machinery: [`Rule`], [`Artifact`], [`Context`] and
-//! the [`Verifier`] that runs a rule set over an artifact.
+//! The [`Verifier`] that runs one of the three fixed rule lists over an
+//! [`Artifact`], and the [`VerifyLevel`] integration points choose.
 
-use crate::diagnostic::{Diagnostic, VerifyReport};
-use crate::distribution::DistributionArtifact;
-use crate::kernel::KernelArtifact;
-use crate::stage::StageSnapshot;
+use crate::diagnostic::VerifyReport;
+use crate::distribution::{self, DistributionArtifact};
+use crate::kernel::{self, KernelArtifact};
+use crate::stage::{self, StageSnapshot};
 
-/// Something the verifier can analyse. Rules receive every artifact and
-/// silently skip the variants they do not apply to, so one rule set can be
-/// run over a whole pipeline.
+/// Largest acceptable deviation for matrix comparisons, unitarity and Kraus
+/// completeness.
+pub(crate) const TOLERANCE: f64 = 1e-6;
+
+/// Something the verifier can analyse. Each rule list checks one variant;
+/// a [`Verifier`] given another variant reports nothing.
 #[derive(Debug, Clone, Copy)]
 pub enum Artifact<'a> {
     /// A compilation-pipeline snapshot (see [`StageSnapshot`]).
@@ -45,53 +48,15 @@ impl VerifyLevel {
     }
 }
 
-/// Numerical thresholds shared by all rules.
-#[derive(Debug, Clone, Copy)]
-pub struct Context {
-    /// Largest acceptable deviation for matrix comparisons, unitarity and
-    /// Kraus completeness.
-    pub tolerance: f64,
-    /// Widest register (in qubits) the fused-vs-unfused equivalence spot
-    /// check will propagate a probe state through; wider registers are
-    /// skipped with an info finding.
-    pub equivalence_max_qubits: usize,
-    /// Tight completeness tolerance for *composed* channels (the
-    /// `channel/composition` rule): conjugation and composition preserve
-    /// trace preservation exactly in exact arithmetic, so drift beyond
-    /// rounding noise indicates broken carry math.
-    pub composed_tolerance: f64,
-    /// Confidence level `1 − δ` for the statistical `fusion/tvd-bound` rule's
-    /// analytic bound (probability that two same-distribution samples stay
-    /// within the bound).
-    pub tvd_confidence: f64,
+/// The rule list a [`Verifier`] runs.
+#[derive(Clone, Copy)]
+enum RuleList {
+    Structural,
+    Semantic,
+    Statistical,
 }
 
-impl Default for Context {
-    fn default() -> Context {
-        Context {
-            tolerance: 1e-6,
-            equivalence_max_qubits: 16,
-            composed_tolerance: 1e-9,
-            tvd_confidence: 0.999_999,
-        }
-    }
-}
-
-/// One legality or semantic check. Implementations inspect the artifact and
-/// append [`Diagnostic`]s for every violation they find; a rule that does not
-/// apply to the artifact appends nothing.
-pub trait Rule: Send + Sync {
-    /// Stable rule id, e.g. `"route/coupling"`; findings carry it.
-    fn id(&self) -> &'static str;
-
-    /// One-line human description of the invariant the rule proves.
-    fn description(&self) -> &'static str;
-
-    /// Checks `artifact`, appending findings to `out`.
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>);
-}
-
-/// A configured set of rules.
+/// Runs one of the three fixed rule lists over an artifact.
 ///
 /// ```
 /// use circuit::{Circuit, Operation};
@@ -110,76 +75,47 @@ pub trait Rule: Send + Sync {
 ///     program_swap_count: 0,
 ///     instruction_set: None,
 /// };
-/// let report = Verifier::with_default_rules().run(&Artifact::Stage(&snapshot));
+/// let report = Verifier::structural().run(&Artifact::Stage(&snapshot));
 /// assert!(!report.has_errors());
 /// ```
 pub struct Verifier {
-    rules: Vec<Box<dyn Rule>>,
-    context: Context,
+    list: RuleList,
 }
 
 impl Verifier {
-    /// An empty verifier; add rules with [`Verifier::rule`].
-    pub fn new() -> Verifier {
-        Verifier {
-            rules: Vec::new(),
-            context: Context::default(),
-        }
-    }
-
-    /// A verifier loaded with every built-in rule (structural and semantic).
-    pub fn with_default_rules() -> Verifier {
-        let mut v = Verifier::new();
-        v.rules.extend(crate::stage::structural_rules());
-        v.rules.extend(crate::kernel::semantic_rules());
-        v
-    }
-
-    /// A verifier with only the structural (pipeline-stage) rules.
+    /// The structural rules over [`Artifact::Stage`] snapshots (see
+    /// [`stage`]).
     pub fn structural() -> Verifier {
-        let mut v = Verifier::new();
-        v.rules.extend(crate::stage::structural_rules());
-        v
-    }
-
-    /// A verifier with only the semantic (kernel-stream) rules.
-    pub fn semantic() -> Verifier {
-        let mut v = Verifier::new();
-        v.rules.extend(crate::kernel::semantic_rules());
-        v
-    }
-
-    /// A verifier with only the statistical (count-distribution) rules.
-    pub fn statistical() -> Verifier {
-        let mut v = Verifier::new();
-        v.rules.extend(crate::distribution::statistical_rules());
-        v
-    }
-
-    /// Adds a rule.
-    pub fn rule(mut self, rule: Box<dyn Rule>) -> Verifier {
-        self.rules.push(rule);
-        self
-    }
-
-    /// Replaces the numerical context.
-    pub fn context(mut self, context: Context) -> Verifier {
-        self.context = context;
-        self
-    }
-
-    /// Runs every rule over the artifact and collects the findings.
-    pub fn run(&self, artifact: &Artifact<'_>) -> VerifyReport {
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            rule.check(artifact, &self.context, &mut out);
+        Verifier {
+            list: RuleList::Structural,
         }
-        VerifyReport::from_diagnostics(out)
     }
-}
 
-impl Default for Verifier {
-    fn default() -> Verifier {
-        Verifier::with_default_rules()
+    /// The semantic rules over [`Artifact::Kernels`] streams (see
+    /// [`kernel`]).
+    pub fn semantic() -> Verifier {
+        Verifier {
+            list: RuleList::Semantic,
+        }
+    }
+
+    /// The statistical rule over [`Artifact::Distributions`] pairs (see
+    /// [`distribution`]).
+    pub fn statistical() -> Verifier {
+        Verifier {
+            list: RuleList::Statistical,
+        }
+    }
+
+    /// Runs the rule list over `artifact` and collects the findings, in rule
+    /// order. An artifact of another list's kind yields an empty report.
+    pub fn run(&self, artifact: &Artifact<'_>) -> VerifyReport {
+        let diagnostics = match (self.list, artifact) {
+            (RuleList::Structural, Artifact::Stage(snapshot)) => stage::check(snapshot),
+            (RuleList::Semantic, Artifact::Kernels(kernels)) => kernel::check(kernels),
+            (RuleList::Statistical, Artifact::Distributions(counts)) => distribution::check(counts),
+            _ => Vec::new(),
+        };
+        VerifyReport::from_diagnostics(diagnostics)
     }
 }

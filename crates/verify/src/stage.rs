@@ -1,11 +1,18 @@
 //! Per-stage legality rules over compilation-pipeline snapshots.
 //!
 //! The compiler exposes its intermediate state after every stage as a
-//! [`StageSnapshot`]; the structural rules here prove the stage invariants of
-//! the paper's pipeline (Fig. 1): qubit indices in bounds, every post-routing
-//! two-qubit operation on a coupled pair, only instruction-set gates after
-//! decomposition, logical↔physical layouts that are bijections, and a final
-//! permutation consistent with the recorded SWAPs.
+//! [`StageSnapshot`]; the structural rules here, run by
+//! [`Verifier::structural`](crate::Verifier::structural), prove the stage
+//! invariants of the paper's pipeline (Fig. 1), in this order:
+//!
+//! 1. `circuit/qubit-bounds`: qubit indices in bounds, two-qubit operations
+//!    on distinct qubits (every stage);
+//! 2. `route/coupling`: every post-routing two-qubit operation on a coupled
+//!    pair of the subdevice;
+//! 3. `isa/gate-set`: only instruction-set gates after decomposition;
+//! 4. `layout/bijection`: logical↔physical layouts that are bijections;
+//! 5. `layout/swap-consistency`: a final permutation consistent with the
+//!    recorded SWAPs (right after routing).
 
 use circuit::{Circuit, QubitId};
 use device::DeviceModel;
@@ -13,7 +20,7 @@ use gates::{GateSetKind, InstructionSet};
 use qmath::Mat4;
 
 use crate::diagnostic::Diagnostic;
-use crate::rule::{Artifact, Context, Rule};
+use crate::rule::TOLERANCE;
 
 /// The pipeline stage a snapshot was taken after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,100 +68,77 @@ pub struct StageSnapshot<'a> {
     pub instruction_set: Option<&'a InstructionSet>,
 }
 
+/// The structural rules over `snap`, in evaluation order.
+pub(crate) fn check(snap: &StageSnapshot<'_>) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    qubit_bounds(snap, &mut out);
+    coupling(snap, &mut out);
+    instruction_set(snap, &mut out);
+    layout_bijection(snap, &mut out);
+    swap_consistency(snap, &mut out);
+    out
+}
+
 /// `circuit/qubit-bounds`: every operation's qubit indices are in range and
 /// two-qubit operations act on distinct qubits. Applies at every stage.
-#[derive(Debug, Default)]
-pub struct QubitBounds;
-
-impl Rule for QubitBounds {
-    fn id(&self) -> &'static str {
-        "circuit/qubit-bounds"
-    }
-
-    fn description(&self) -> &'static str {
-        "qubit indices are in range and two-qubit operations act on distinct qubits"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, _ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Stage(snap) = artifact else {
-            return;
-        };
-        let n = snap.circuit.num_qubits();
-        for (i, op) in snap.circuit.iter().enumerate() {
-            for &q in op.qubits() {
-                if q >= n {
-                    out.push(
-                        Diagnostic::error(
-                            self.id(),
-                            format!("op {i} ({}) targets qubit {q} of {n}", op.label()),
-                        )
-                        .at_op(i),
-                    );
-                }
-            }
-            if op.is_two_qubit_unitary() && op.qubits()[0] == op.qubits()[1] {
+fn qubit_bounds(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "circuit/qubit-bounds";
+    let n = snap.circuit.num_qubits();
+    for (i, op) in snap.circuit.iter().enumerate() {
+        for &q in op.qubits() {
+            if q >= n {
                 out.push(
                     Diagnostic::error(
-                        self.id(),
-                        format!(
-                            "op {i} ({}) targets qubit {} twice",
-                            op.label(),
-                            op.qubits()[0]
-                        ),
+                        ID,
+                        format!("op {i} ({}) targets qubit {q} of {n}", op.label()),
                     )
                     .at_op(i),
                 );
             }
+        }
+        if op.is_two_qubit_unitary() && op.qubits()[0] == op.qubits()[1] {
+            out.push(
+                Diagnostic::error(
+                    ID,
+                    format!(
+                        "op {i} ({}) targets qubit {} twice",
+                        op.label(),
+                        op.qubits()[0]
+                    ),
+                )
+                .at_op(i),
+            );
         }
     }
 }
 
 /// `route/coupling`: after routing, every two-qubit operation acts on a
 /// coupled pair of the selected subdevice.
-#[derive(Debug, Default)]
-pub struct CouplingLegality;
-
-impl Rule for CouplingLegality {
-    fn id(&self) -> &'static str {
-        "route/coupling"
+fn coupling(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
+    if snap.stage < Stage::SwapRoute {
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "post-routing two-qubit operations act on coupled pairs of the selected region"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, _ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Stage(snap) = artifact else {
-            return;
-        };
-        if snap.stage < Stage::SwapRoute {
-            return;
+    let Some(subdevice) = snap.subdevice else {
+        return;
+    };
+    let topology = subdevice.topology();
+    for (i, op) in snap.circuit.iter().enumerate() {
+        if !op.is_two_qubit_unitary() {
+            continue;
         }
-        let Some(subdevice) = snap.subdevice else {
-            return;
-        };
-        let topology = subdevice.topology();
-        for (i, op) in snap.circuit.iter().enumerate() {
-            if !op.is_two_qubit_unitary() {
-                continue;
-            }
-            let (q0, q1) = (op.qubits()[0], op.qubits()[1]);
-            if q0 < topology.num_qubits()
-                && q1 < topology.num_qubits()
-                && !topology.has_edge(q0, q1)
-            {
-                out.push(
-                    Diagnostic::error(
-                        self.id(),
-                        format!(
-                            "op {i} ({}) acts on uncoupled pair ({q0}, {q1}) of {}",
-                            op.label(),
-                            subdevice.name(),
-                        ),
-                    )
-                    .at_op(i),
-                );
-            }
+        let (q0, q1) = (op.qubits()[0], op.qubits()[1]);
+        if q0 < topology.num_qubits() && q1 < topology.num_qubits() && !topology.has_edge(q0, q1) {
+            out.push(
+                Diagnostic::error(
+                    "route/coupling",
+                    format!(
+                        "op {i} ({}) acts on uncoupled pair ({q0}, {q1}) of {}",
+                        op.label(),
+                        subdevice.name(),
+                    ),
+                )
+                .at_op(i),
+            );
         }
     }
 }
@@ -164,104 +148,87 @@ impl Rule for CouplingLegality {
 /// the matrix must equal the named gate type's unitary; for continuous
 /// families the matrix must be a member of the family (its parameters are
 /// recovered and the gate rebuilt).
-#[derive(Debug, Default)]
-pub struct InstructionSetConformance;
-
-impl Rule for InstructionSetConformance {
-    fn id(&self) -> &'static str {
-        "isa/gate-set"
+fn instruction_set(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "isa/gate-set";
+    if snap.stage != Stage::NuOpDecompose {
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "post-decomposition two-qubit gates belong to the target instruction set"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Stage(snap) = artifact else {
-            return;
-        };
-        if snap.stage != Stage::NuOpDecompose {
-            return;
+    let Some(set) = snap.instruction_set else {
+        return;
+    };
+    for (i, op) in snap.circuit.iter().enumerate() {
+        if !op.is_two_qubit_unitary() {
+            continue;
         }
-        let Some(set) = snap.instruction_set else {
-            return;
+        let matrix = op.matrix().and_then(|m| Mat4::try_from(m).ok());
+        let Some(matrix) = matrix else {
+            out.push(
+                Diagnostic::error(
+                    ID,
+                    format!("op {i} ({}) does not carry a 4x4 matrix", op.label()),
+                )
+                .at_op(i),
+            );
+            continue;
         };
-        for (i, op) in snap.circuit.iter().enumerate() {
-            if !op.is_two_qubit_unitary() {
-                continue;
-            }
-            let matrix = op.matrix().and_then(|m| Mat4::try_from(m).ok());
-            let Some(matrix) = matrix else {
-                out.push(
+        match set.kind() {
+            GateSetKind::Discrete(types) => match types.iter().find(|t| t.name() == op.label()) {
+                None => out.push(
                     Diagnostic::error(
-                        self.id(),
-                        format!("op {i} ({}) does not carry a 4x4 matrix", op.label()),
+                        ID,
+                        format!(
+                            "op {i} ({}) is not a gate of instruction set {}",
+                            op.label(),
+                            set.name()
+                        ),
                     )
                     .at_op(i),
-                );
-                continue;
-            };
-            match set.kind() {
-                GateSetKind::Discrete(types) => {
-                    match types.iter().find(|t| t.name() == op.label()) {
-                        None => out.push(
+                ),
+                Some(gate) => {
+                    if matrix.max_abs_diff(gate.unitary()) > TOLERANCE {
+                        out.push(
                             Diagnostic::error(
-                                self.id(),
+                                ID,
                                 format!(
-                                    "op {i} ({}) is not a gate of instruction set {}",
+                                    "op {i} is labelled {} but its matrix differs from \
+                                     the {} gate of set {}",
                                     op.label(),
+                                    gate.name(),
                                     set.name()
                                 ),
                             )
                             .at_op(i),
-                        ),
-                        Some(gate) => {
-                            if matrix.max_abs_diff(gate.unitary()) > ctx.tolerance {
-                                out.push(
-                                    Diagnostic::error(
-                                        self.id(),
-                                        format!(
-                                            "op {i} is labelled {} but its matrix differs from \
-                                             the {} gate of set {}",
-                                            op.label(),
-                                            gate.name(),
-                                            set.name()
-                                        ),
-                                    )
-                                    .at_op(i),
-                                );
-                            }
-                        }
+                        );
                     }
                 }
-                GateSetKind::Continuous(family) => {
-                    if op.label() != family.name() {
-                        out.push(
-                            Diagnostic::error(
-                                self.id(),
-                                format!("op {i} ({}) is not a {} gate", op.label(), family.name()),
-                            )
-                            .at_op(i),
-                        );
-                        continue;
-                    }
-                    // Recover the family parameters from the matrix entries
-                    // and rebuild; a member reproduces itself exactly.
-                    let params = recover_family_params(*family, &matrix);
-                    let rebuilt = family.unitary(&params);
-                    if matrix.max_abs_diff(&rebuilt) > ctx.tolerance {
-                        out.push(
-                            Diagnostic::error(
-                                self.id(),
-                                format!(
-                                    "op {i} is labelled {} but its matrix is not a member of \
-                                     the family",
-                                    family.name()
-                                ),
-                            )
-                            .at_op(i),
-                        );
-                    }
+            },
+            GateSetKind::Continuous(family) => {
+                if op.label() != family.name() {
+                    out.push(
+                        Diagnostic::error(
+                            ID,
+                            format!("op {i} ({}) is not a {} gate", op.label(), family.name()),
+                        )
+                        .at_op(i),
+                    );
+                    continue;
+                }
+                // Recover the family parameters from the matrix entries
+                // and rebuild; a member reproduces itself exactly.
+                let params = recover_family_params(*family, &matrix);
+                let rebuilt = family.unitary(&params);
+                if matrix.max_abs_diff(&rebuilt) > TOLERANCE {
+                    out.push(
+                        Diagnostic::error(
+                            ID,
+                            format!(
+                                "op {i} is labelled {} but its matrix is not a member of \
+                                 the family",
+                                family.name()
+                            ),
+                        )
+                        .at_op(i),
+                    );
                 }
             }
         }
@@ -292,62 +259,47 @@ fn recover_family_params(family: gates::fsim::ContinuousFamily, m: &Mat4) -> Vec
 
 /// `layout/bijection`: the logical→physical layouts are injective, in range,
 /// and (once routing has run) the initial and final layouts agree in length.
-#[derive(Debug, Default)]
-pub struct LayoutBijection;
-
-impl Rule for LayoutBijection {
-    fn id(&self) -> &'static str {
-        "layout/bijection"
+fn layout_bijection(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "layout/bijection";
+    if snap.stage < Stage::InitialMap {
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "logical-to-physical layouts are injective and in range"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, _ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Stage(snap) = artifact else {
-            return;
-        };
-        if snap.stage < Stage::InitialMap {
-            return;
-        }
-        let physical = snap
-            .subdevice
-            .map_or(snap.circuit.num_qubits(), DeviceModel::num_qubits);
-        for (name, layout) in [
-            ("initial", snap.initial_layout),
-            ("final", snap.final_layout),
-        ] {
-            let mut seen = vec![false; physical];
-            for (logical, &p) in layout.iter().enumerate() {
-                if p >= physical {
-                    out.push(Diagnostic::error(
-                        self.id(),
-                        format!(
-                            "{name} layout places logical qubit {logical} on physical qubit {p} \
-                             of {physical}"
-                        ),
-                    ));
-                } else if seen[p] {
-                    out.push(Diagnostic::error(
-                        self.id(),
-                        format!("{name} layout places two logical qubits on physical qubit {p}"),
-                    ));
-                } else {
-                    seen[p] = true;
-                }
+    let physical = snap
+        .subdevice
+        .map_or(snap.circuit.num_qubits(), DeviceModel::num_qubits);
+    for (name, layout) in [
+        ("initial", snap.initial_layout),
+        ("final", snap.final_layout),
+    ] {
+        let mut seen = vec![false; physical];
+        for (logical, &p) in layout.iter().enumerate() {
+            if p >= physical {
+                out.push(Diagnostic::error(
+                    ID,
+                    format!(
+                        "{name} layout places logical qubit {logical} on physical qubit {p} \
+                         of {physical}"
+                    ),
+                ));
+            } else if seen[p] {
+                out.push(Diagnostic::error(
+                    ID,
+                    format!("{name} layout places two logical qubits on physical qubit {p}"),
+                ));
+            } else {
+                seen[p] = true;
             }
         }
-        if snap.stage >= Stage::SwapRoute && snap.initial_layout.len() != snap.final_layout.len() {
-            out.push(Diagnostic::error(
-                self.id(),
-                format!(
-                    "initial layout covers {} logical qubits but final layout covers {}",
-                    snap.initial_layout.len(),
-                    snap.final_layout.len()
-                ),
-            ));
-        }
+    }
+    if snap.stage >= Stage::SwapRoute && snap.initial_layout.len() != snap.final_layout.len() {
+        out.push(Diagnostic::error(
+            ID,
+            format!(
+                "initial layout covers {} logical qubits but final layout covers {}",
+                snap.initial_layout.len(),
+                snap.final_layout.len()
+            ),
+        ));
     }
 }
 
@@ -355,85 +307,59 @@ impl Rule for LayoutBijection {
 /// operations over the initial layout reproduces the recorded final layout
 /// and swap count. Only meaningful right after routing, while SWAPs are still
 /// labelled (decomposition rewrites them into native gates).
-#[derive(Debug, Default)]
-pub struct SwapConsistency;
-
-impl Rule for SwapConsistency {
-    fn id(&self) -> &'static str {
-        "layout/swap-consistency"
+fn swap_consistency(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
+    const ID: &str = "layout/swap-consistency";
+    if snap.stage != Stage::SwapRoute {
+        return;
     }
-
-    fn description(&self) -> &'static str {
-        "the final layout and swap count match the SWAPs present in the routed circuit"
-    }
-
-    fn check(&self, artifact: &Artifact<'_>, _ctx: &Context, out: &mut Vec<Diagnostic>) {
-        let Artifact::Stage(snap) = artifact else {
-            return;
-        };
-        if snap.stage != Stage::SwapRoute {
-            return;
+    let mut layout = snap.initial_layout.to_vec();
+    let mut swaps = 0usize;
+    for op in snap.circuit.iter() {
+        if !(op.is_two_qubit_unitary() && op.label() == "SWAP") {
+            continue;
         }
-        let mut layout = snap.initial_layout.to_vec();
-        let mut swaps = 0usize;
-        for op in snap.circuit.iter() {
-            if !(op.is_two_qubit_unitary() && op.label() == "SWAP") {
-                continue;
-            }
-            swaps += 1;
-            let (p0, p1) = (op.qubits()[0], op.qubits()[1]);
-            for p in &mut layout {
-                if *p == p0 {
-                    *p = p1;
-                } else if *p == p1 {
-                    *p = p0;
-                }
+        swaps += 1;
+        let (p0, p1) = (op.qubits()[0], op.qubits()[1]);
+        for p in &mut layout {
+            if *p == p0 {
+                *p = p1;
+            } else if *p == p1 {
+                *p = p0;
             }
         }
-        let expected = snap.swap_count + snap.program_swap_count;
-        if swaps != expected {
-            out.push(Diagnostic::error(
-                self.id(),
-                format!(
-                    "circuit contains {swaps} SWAP operations but the report records \
-                     {} inserted + {} program-level",
-                    snap.swap_count, snap.program_swap_count
-                ),
-            ));
-        }
-        if snap.program_swap_count > 0 {
-            // Program-level SWAPs move data without updating the layout, and
-            // the stream records no per-op provenance, so the replay below
-            // would mix bookkeeping and data movement. Count consistency
-            // (above) is still checked.
-            out.push(Diagnostic::info(
-                self.id(),
-                format!(
-                    "layout replay skipped: program contains {} SWAP gate(s) \
-                     indistinguishable from routing SWAPs",
-                    snap.program_swap_count
-                ),
-            ));
-        } else if layout != snap.final_layout {
-            out.push(Diagnostic::error(
-                self.id(),
-                format!(
-                    "replaying {swaps} SWAPs over the initial layout yields {layout:?}, \
-                     but the recorded final layout is {:?}",
-                    snap.final_layout
-                ),
-            ));
-        }
     }
-}
-
-/// All structural stage rules, in evaluation order.
-pub fn structural_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(QubitBounds),
-        Box::new(CouplingLegality),
-        Box::new(InstructionSetConformance),
-        Box::new(LayoutBijection),
-        Box::new(SwapConsistency),
-    ]
+    let expected = snap.swap_count + snap.program_swap_count;
+    if swaps != expected {
+        out.push(Diagnostic::error(
+            ID,
+            format!(
+                "circuit contains {swaps} SWAP operations but the report records \
+                 {} inserted + {} program-level",
+                snap.swap_count, snap.program_swap_count
+            ),
+        ));
+    }
+    if snap.program_swap_count > 0 {
+        // Program-level SWAPs move data without updating the layout, and
+        // the stream records no per-op provenance, so the replay below
+        // would mix bookkeeping and data movement. Count consistency
+        // (above) is still checked.
+        out.push(Diagnostic::info(
+            ID,
+            format!(
+                "layout replay skipped: program contains {} SWAP gate(s) \
+                 indistinguishable from routing SWAPs",
+                snap.program_swap_count
+            ),
+        ));
+    } else if layout != snap.final_layout {
+        out.push(Diagnostic::error(
+            ID,
+            format!(
+                "replaying {swaps} SWAPs over the initial layout yields {layout:?}, \
+                 but the recorded final layout is {:?}",
+                snap.final_layout
+            ),
+        ));
+    }
 }
