@@ -245,6 +245,7 @@ pub fn unitary_pool(workload: Workload, count: usize, seed: RngSeed) -> Vec<Mat4
 #[cfg(test)]
 mod tests {
     use super::*;
+    use circuit::OpKind;
     use sim::StateVector;
 
     #[test]
@@ -256,7 +257,10 @@ mod tests {
         // All two-qubit gates are SU4-labelled and unitary.
         for op in c.iter().filter(|o| o.is_two_qubit_unitary()) {
             assert_eq!(op.label(), "SU4");
-            assert!(op.matrix().unwrap().is_unitary(1e-9));
+            let OpKind::Unitary2Q { matrix, .. } = op.kind() else {
+                panic!("{op} is a two-qubit unitary");
+            };
+            assert!(matrix.is_unitary(1e-9));
         }
     }
 

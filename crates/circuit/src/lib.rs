@@ -6,8 +6,9 @@
 //! deliberately "flat" (no classical control flow), which matches the NISQ
 //! applications studied in the paper.
 //!
-//! * [`ops`] — operations: labelled 1-qubit / 2-qubit unitaries, measurement,
-//!   barrier.
+//! * [`ops`] — operations: labelled 1-qubit / 2-qubit unitaries, each
+//!   holding the stack-allocated [`qmath::Mat2`] / [`qmath::Mat4`] its gate
+//!   constructor returns, measurement, barrier.
 //! * [`circuit`] — the [`Circuit`] container, gate counting, composition,
 //!   inversion and unitary extraction for small circuits.
 //! * [`mod@moments`] — ASAP moment (layer) scheduling and depth computation.

@@ -1,9 +1,13 @@
 //! Circuit operations.
+//!
+//! A unitary operation holds its gate as the `Mat2`/`Mat4` the gate
+//! constructors return, so the NuOp pass and the simulator read it without
+//! a conversion; [`Operation::matrix`] offers a read-only view of either.
 
 use std::fmt;
 
 use gates::{standard, GateType};
-use qmath::CMatrix;
+use qmath::{Mat2, Mat4, MatRef};
 use serde::{Deserialize, Serialize};
 
 /// Index of a qubit within a circuit or device.
@@ -17,14 +21,14 @@ pub enum OpKind {
         /// Display label.
         label: String,
         /// 2×2 unitary matrix.
-        matrix: CMatrix,
+        matrix: Mat2,
     },
     /// A two-qubit unitary with a label (e.g. `"CZ"`, `"fSim(pi/6,pi)"`, `"SU4"`).
     Unitary2Q {
         /// Display label.
         label: String,
         /// 4×4 unitary matrix.
-        matrix: CMatrix,
+        matrix: Mat4,
     },
     /// Computational-basis measurement of the operation's qubits.
     Measure,
@@ -50,14 +54,12 @@ impl Operation {
     /// 2 distinct qubits for 2Q unitaries, ≥1 for measure/barrier).
     pub fn new(kind: OpKind, qubits: Vec<QubitId>) -> Self {
         match &kind {
-            OpKind::Unitary1Q { matrix, .. } => {
+            OpKind::Unitary1Q { .. } => {
                 assert_eq!(qubits.len(), 1, "1Q unitary must act on exactly one qubit");
-                assert_eq!(matrix.rows(), 2, "1Q unitary must be 2x2");
             }
-            OpKind::Unitary2Q { matrix, .. } => {
+            OpKind::Unitary2Q { .. } => {
                 assert_eq!(qubits.len(), 2, "2Q unitary must act on exactly two qubits");
                 assert_ne!(qubits[0], qubits[1], "2Q unitary qubits must be distinct");
-                assert_eq!(matrix.rows(), 4, "2Q unitary must be 4x4");
             }
             OpKind::Measure | OpKind::Barrier => {
                 assert!(
@@ -69,30 +71,24 @@ impl Operation {
         Operation { kind, qubits }
     }
 
-    /// A labelled single-qubit unitary. Accepts either matrix representation
-    /// (`CMatrix` or the stack-allocated `Mat2`).
-    pub fn unitary1q(label: impl Into<String>, matrix: impl Into<CMatrix>, q: QubitId) -> Self {
+    /// A labelled single-qubit unitary.
+    pub fn unitary1q(label: impl Into<String>, matrix: Mat2, q: QubitId) -> Self {
         Operation::new(
             OpKind::Unitary1Q {
                 label: label.into(),
-                matrix: matrix.into(),
+                matrix,
             },
             vec![q],
         )
     }
 
-    /// A labelled two-qubit unitary. Accepts either matrix representation
-    /// (`CMatrix` or the stack-allocated `Mat4`).
-    pub fn unitary2q(
-        label: impl Into<String>,
-        matrix: impl Into<CMatrix>,
-        q0: QubitId,
-        q1: QubitId,
-    ) -> Self {
+    /// A labelled two-qubit unitary (`q0` is the most significant qubit of
+    /// the matrix).
+    pub fn unitary2q(label: impl Into<String>, matrix: Mat4, q0: QubitId, q1: QubitId) -> Self {
         Operation::new(
             OpKind::Unitary2Q {
                 label: label.into(),
-                matrix: matrix.into(),
+                matrix,
             },
             vec![q0, q1],
         )
@@ -201,10 +197,12 @@ impl Operation {
         }
     }
 
-    /// The unitary matrix, for unitary operations.
-    pub fn matrix(&self) -> Option<&CMatrix> {
+    /// A read-only view of the unitary matrix, for unitary operations. Code
+    /// that needs the `Mat2`/`Mat4` itself matches on [`Operation::kind`].
+    pub fn matrix(&self) -> Option<&dyn MatRef> {
         match &self.kind {
-            OpKind::Unitary1Q { matrix, .. } | OpKind::Unitary2Q { matrix, .. } => Some(matrix),
+            OpKind::Unitary1Q { matrix, .. } => Some(matrix),
+            OpKind::Unitary2Q { matrix, .. } => Some(matrix),
             _ => None,
         }
     }
@@ -304,7 +302,12 @@ mod tests {
             Operation::zz(0, 1, 0.25),
             Operation::xx_plus_yy(0, 1, 0.6),
         ] {
-            assert!(op.matrix().unwrap().is_unitary(1e-12), "{op}");
+            let unitary = match op.kind() {
+                OpKind::Unitary1Q { matrix, .. } => matrix.is_unitary(1e-12),
+                OpKind::Unitary2Q { matrix, .. } => matrix.is_unitary(1e-12),
+                OpKind::Measure | OpKind::Barrier => false,
+            };
+            assert!(unitary, "{op}");
         }
         assert!(Operation::measure(vec![0]).matrix().is_none());
     }
@@ -313,8 +316,12 @@ mod tests {
     fn inverse_composes_to_identity() {
         let op = Operation::u3(0, 0.7, 1.1, 2.2);
         let inv = op.inverse();
-        let prod = &(op.matrix().unwrap().clone()) * inv.matrix().unwrap();
-        assert!(prod.approx_eq(&qmath::CMatrix::identity(2), 1e-12));
+        let (OpKind::Unitary1Q { matrix: u, .. }, OpKind::Unitary1Q { matrix: v, .. }) =
+            (op.kind(), inv.kind())
+        else {
+            panic!("U3 and its inverse are one-qubit unitaries");
+        };
+        assert!((*u * *v).approx_eq(&Mat2::identity(), 1e-12));
     }
 
     #[test]
@@ -330,7 +337,8 @@ mod tests {
         let syc = GateType::syc();
         let op = Operation::from_gate_type(&syc, 2, 5);
         assert_eq!(op.label(), "SYC");
-        assert!(op.matrix().unwrap().approx_eq(syc.unitary(), 1e-12));
+        let view = op.matrix().unwrap();
+        assert!(qmath::CMatrix::from(syc.unitary()).approx_eq(view, 1e-12));
     }
 
     #[test]

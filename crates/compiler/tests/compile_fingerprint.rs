@@ -35,7 +35,7 @@ use compiler::{CompileReport, CompiledCircuit, Compiler, CompilerOptions, Verify
 use device::DeviceModel;
 use gates::InstructionSet;
 use nuop_core::{DecomposeConfig, PassStats};
-use qmath::{MatRef, RngSeed};
+use qmath::RngSeed;
 
 /// FNV-1a over the little-endian bytes of each word.
 struct Fnv(u64);

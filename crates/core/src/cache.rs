@@ -27,7 +27,7 @@ use std::sync::{Condvar, Mutex as StdMutex};
 use circuit::QubitId;
 use gates::{GateSetKind, InstructionSet};
 use parking_lot::Mutex;
-use qmath::MatRef;
+use qmath::Mat4;
 
 use crate::decompose::{DecomposeConfig, Decomposition};
 use crate::pass::HardwareFidelityProvider;
@@ -85,24 +85,18 @@ pub struct CacheKey {
 impl CacheKey {
     /// Builds the key for decomposing `target` on the physical pair
     /// `(q0, q1)` under `set` with `config`, with fidelities supplied by
-    /// `provider`. Accepts either matrix representation (`CMatrix` from a
-    /// circuit operation, `Mat4` from the synthesis path).
-    ///
-    /// # Panics
-    /// Panics if `target` is not 4×4.
-    pub fn new<M: MatRef + ?Sized>(
-        target: &M,
+    /// `provider`.
+    pub fn new(
+        target: &Mat4,
         set: &InstructionSet,
         q0: QubitId,
         q1: QubitId,
         provider: &dyn HardwareFidelityProvider,
         config: &DecomposeConfig,
     ) -> CacheKey {
-        assert_eq!(target.nrows(), 4, "cache keys are built for 4x4 targets");
-        assert_eq!(target.ncols(), 4, "cache keys are built for 4x4 targets");
         let mut matrix_bits = [0u64; 32];
         for i in 0..16 {
-            let z = target.at(i / 4, i % 4);
+            let z = target[(i / 4, i % 4)];
             matrix_bits[2 * i] = quantize(z.re, MATRIX_QUANTUM);
             matrix_bits[2 * i + 1] = quantize(z.im, MATRIX_QUANTUM);
         }

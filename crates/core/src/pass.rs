@@ -13,11 +13,11 @@
 //! gates ... requires around 220 seconds").
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use circuit::{Circuit, OpKind, QubitId};
 use gates::{GateSetKind, InstructionSet};
-use qmath::{CMatrix, Mat4};
+use qmath::Mat4;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, DecompositionCache};
@@ -75,7 +75,7 @@ pub struct PassStats {
 
 /// One two-qubit operation to decompose: its index in the circuit, its
 /// target unitary and its physical pair.
-type Work<'a> = (usize, &'a CMatrix, QubitId, QubitId);
+type Work<'a> = (usize, &'a Mat4, QubitId, QubitId);
 
 /// The NuOp circuit pass.
 pub struct NuOpPass {
@@ -84,14 +84,16 @@ pub struct NuOpPass {
     /// Worker threads; `None` means one per CPU, read when [`NuOpPass::run`]
     /// needs it.
     threads: Option<usize>,
-    cache: Arc<DecompositionCache>,
+    /// Set by [`NuOpPass::with_cache`], or to a private cache the first time
+    /// [`NuOpPass::cache`] is read without one.
+    cache: OnceLock<Arc<DecompositionCache>>,
 }
 
 impl NuOpPass {
     /// Creates a pass targeting `instruction_set` with the given decomposition
-    /// configuration and a private decomposition cache. Use
-    /// [`NuOpPass::with_cache`] to share a cache across passes (and therefore
-    /// across compiles).
+    /// configuration. Use [`NuOpPass::with_cache`] to share a cache across
+    /// passes (and therefore across compiles); without one, the pass builds a
+    /// private cache the first time it needs one.
     ///
     /// The pass uses one worker thread per CPU unless
     /// [`NuOpPass::with_threads`] sets a count. Construction does not query
@@ -102,7 +104,7 @@ impl NuOpPass {
             instruction_set,
             config,
             threads: None,
-            cache: Arc::new(DecompositionCache::new()),
+            cache: OnceLock::new(),
         }
     }
 
@@ -114,11 +116,11 @@ impl NuOpPass {
         self
     }
 
-    /// Replaces the pass's private cache with a shared one, so repeated
+    /// Uses a shared cache in place of a private one, so repeated
     /// decompositions of the same unitary across circuits (or across passes)
     /// are served without re-optimizing.
     pub fn with_cache(mut self, cache: Arc<DecompositionCache>) -> Self {
-        self.cache = cache;
+        self.cache = OnceLock::from(cache);
         self
     }
 
@@ -129,7 +131,8 @@ impl NuOpPass {
 
     /// The decomposition cache this pass consults.
     pub fn cache(&self) -> &DecompositionCache {
-        &self.cache
+        self.cache
+            .get_or_init(|| Arc::new(DecompositionCache::new()))
     }
 
     /// Cache-aware decomposition; the flag reports whether the result was a
@@ -138,7 +141,7 @@ impl NuOpPass {
     /// [`DecompositionCache::get_or_insert_with`]).
     fn decompose_cached(
         &self,
-        target: &CMatrix,
+        target: &Mat4,
         q0: QubitId,
         q1: QubitId,
         provider: &dyn HardwareFidelityProvider,
@@ -152,22 +155,19 @@ impl NuOpPass {
             &self.config,
         );
         let ((d, g), hit) = self
-            .cache
+            .cache()
             .get_or_insert_with(&key, || self.decompose_uncached(target, q0, q1, provider));
         (d, g, hit)
     }
 
-    /// The actual numerical optimization behind a cache miss. The heap-held
-    /// operation matrix is converted to the stack representation exactly once
-    /// here, before the optimizer's inner loop runs.
+    /// The actual numerical optimization behind a cache miss.
     fn decompose_uncached(
         &self,
-        target: &CMatrix,
+        target: &Mat4,
         q0: QubitId,
         q1: QubitId,
         provider: &dyn HardwareFidelityProvider,
     ) -> (Decomposition, String) {
-        let target = &Mat4::try_from(target).expect("two-qubit operations carry a 4x4 matrix");
         match self.instruction_set.kind() {
             GateSetKind::Discrete(types) => {
                 let candidates: Vec<HardwareGate> = types

@@ -20,12 +20,14 @@
 //!
 //! # Which matrix type should I use?
 //!
-//! Use [`Mat2`] / [`Mat4`] for fixed-size gate algebra (gate constructors,
-//! decomposition objectives, Weyl invariants, state-vector gate application):
-//! they are `Copy` and never allocate. Use [`CMatrix`] when the dimension is
-//! dynamic (`2^n` register operators, QR/eigen routines, Haar sampling).
-//! Convert losslessly at boundaries with `CMatrix::from(small)` /
-//! `Mat4::try_from(&cmatrix)`.
+//! Use [`Mat2`] / [`Mat4`] for every gate (gate constructors, circuit
+//! operations, decomposition targets and objectives, Weyl invariants,
+//! simulator kernels and Kraus operators): they are `Copy` and never
+//! allocate, and a gate keeps this form from its constructor to the kernel
+//! that applies it. Use [`CMatrix`] only when the dimension is dynamic
+//! (`2^n` register operators, QR/eigen routines, Haar sampling). Convert
+//! losslessly with `CMatrix::from(small)` / `Mat4::try_from(&cmatrix)`
+//! where the two meet.
 //!
 //! # Example
 //!

@@ -27,7 +27,8 @@ use verify::{
     VerifyReport,
 };
 
-use crate::precompiled::{AttachedChannel, PrecompiledCircuit, PrecompiledKind, PrecompiledOp};
+use crate::channels::AttachedChannel;
+use crate::precompiled::{PrecompiledCircuit, PrecompiledKind, PrecompiledOp};
 
 /// Converts one attached channel into the verifier's view.
 fn channel_view(channel: &AttachedChannel) -> ChannelView {
@@ -60,25 +61,10 @@ fn kernel_op(index: usize, op: &PrecompiledOp) -> KernelOp {
         },
         PrecompiledKind::Silent => KernelKind::Silent,
     };
-    let mut channels: Vec<ChannelView> =
-        Vec::with_capacity(op.carried.len() + op.relaxation.len() + 1);
-    for carried in &op.carried {
-        channels.push(channel_view(carried));
-    }
-    if let Some(depolarizing) = &op.depolarizing {
-        channels.push(channel_view(depolarizing));
-    }
-    for (q, channel) in &op.relaxation {
-        channels.push(ChannelView {
-            qubits: vec![*q],
-            kraus: ChannelKraus::One(channel.operators().to_vec()),
-            consumes_rng: !channel.is_identity(),
-        });
-    }
     KernelOp {
         index,
         kind,
-        channels,
+        channels: op.channels.iter().map(channel_view).collect(),
     }
 }
 

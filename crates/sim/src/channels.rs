@@ -29,6 +29,7 @@
 //! `KrausChannel<4>` for two-qubit ones), so sampling and applying Kraus
 //! operators in the trajectory inner loop never allocates per operator.
 
+use circuit::QubitId;
 use qmath::{Complex, Mat2, Mat4, SmallMat};
 use serde::{Deserialize, Serialize};
 
@@ -98,16 +99,50 @@ pub type Kraus1q = KrausChannel<2>;
 /// A two-qubit (4×4) Kraus channel.
 pub type Kraus2q = KrausChannel<4>;
 
-/// A depolarizing channel whose dimension matches the operation's arity.
+/// A Kraus channel placed on the qubits it acts on.
 ///
-/// [`crate::NoiseModel::noise_for`] produces one of these per noisy unitary;
-/// the simulators match on the variant to apply it to the right qubit count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ArityChannel {
-    /// A channel on one qubit.
-    One(Kraus1q),
-    /// A channel on a qubit pair.
-    Two(Kraus2q),
+/// [`crate::NoiseModel::noise_for`] returns an op's channels as a list of
+/// these, and each lowered op ([`crate::PrecompiledOp`]) holds one list in
+/// the order a trajectory applies it. A fused op can carry a channel
+/// narrower than its kernel (a 1Q gate's noise after it is absorbed into a
+/// 2Q kernel), so every channel names its own qubits.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttachedChannel {
+    /// A single-qubit channel.
+    One {
+        /// The Kraus channel.
+        channel: Kraus1q,
+        /// The qubit it acts on.
+        qubit: QubitId,
+    },
+    /// A two-qubit channel (`q0` is the most significant qubit).
+    Two {
+        /// The Kraus channel.
+        channel: Kraus2q,
+        /// First (most significant) qubit.
+        q0: QubitId,
+        /// Second qubit.
+        q1: QubitId,
+    },
+}
+
+impl AttachedChannel {
+    /// True when the channel consumes no randomness when applied.
+    pub fn is_identity(&self) -> bool {
+        match self {
+            AttachedChannel::One { channel, .. } => channel.is_identity(),
+            AttachedChannel::Two { channel, .. } => channel.is_identity(),
+        }
+    }
+
+    /// The qubits the channel acts on (`None` in the second slot for a
+    /// single-qubit channel).
+    pub(crate) fn qubits(&self) -> (QubitId, Option<QubitId>) {
+        match *self {
+            AttachedChannel::One { qubit, .. } => (qubit, None),
+            AttachedChannel::Two { q0, q1, .. } => (q0, Some(q1)),
+        }
+    }
 }
 
 impl<const N: usize> KrausChannel<N> {

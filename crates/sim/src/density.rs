@@ -7,9 +7,10 @@
 use circuit::{Circuit, QubitId};
 use qmath::{CMatrix, Complex, Mat2, Mat4};
 
+use crate::channels::AttachedChannel;
 use crate::channels::{Kraus1q, Kraus2q};
 use crate::noise_model::NoiseModel;
-use crate::precompiled::{AttachedChannel, PrecompiledCircuit, PrecompiledKind};
+use crate::precompiled::{PrecompiledCircuit, PrecompiledKind};
 
 /// A density matrix over an `n`-qubit register.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,8 +125,8 @@ impl DensityMatrix {
                 }
                 PrecompiledKind::Silent => {}
             }
-            for carried in &op.carried {
-                match carried {
+            for channel in &op.channels {
+                match channel {
                     AttachedChannel::One { channel, qubit } => {
                         dm.apply_channel_1q(channel, *qubit);
                     }
@@ -133,18 +134,6 @@ impl DensityMatrix {
                         dm.apply_channel_2q(channel, *q0, *q1);
                     }
                 }
-            }
-            match &op.depolarizing {
-                Some(AttachedChannel::One { channel, qubit }) => {
-                    dm.apply_channel_1q(channel, *qubit);
-                }
-                Some(AttachedChannel::Two { channel, q0, q1 }) => {
-                    dm.apply_channel_2q(channel, *q0, *q1);
-                }
-                None => {}
-            }
-            for (q, channel) in &op.relaxation {
-                dm.apply_channel_1q(channel, *q);
             }
         }
         dm

@@ -10,13 +10,16 @@
 //!   bit-identically for any thread count.
 //! * [`channels`] — Kraus-operator noise channels: depolarizing (scaled by the
 //!   calibrated gate error), amplitude damping and dephasing derived from
-//!   T1/T2 and gate duration, and classical readout error.
-//! * [`noise_model`] — builds the per-operation noise from a
-//!   [`device::DeviceModel`] calibration table.
+//!   T1/T2 and gate duration, and classical readout error, each placed on
+//!   its qubits as an [`AttachedChannel`].
+//! * [`noise_model`] — builds each operation's channels from a
+//!   [`device::DeviceModel`] calibration table, as one list in the order a
+//!   trajectory applies them ([`NoiseModel::noise_for`]).
 //! * [`precompiled`] — circuits lowered **once** into simulation-ready ops:
-//!   per-op `Mat2`/`Mat4` kernels plus prebuilt, completeness-checked Kraus
-//!   channels (instead of rebuilding them every shot), with optional **gate
-//!   fusion** ([`FusionPolicy`]) coalescing adjacent ops into single kernels
+//!   each op's `Mat2`/`Mat4` kernel, copied from the circuit, and its one
+//!   list of prebuilt, completeness-checked Kraus channels (instead of
+//!   rebuilding them every shot), with optional **gate fusion**
+//!   ([`FusionPolicy`]) coalescing adjacent ops into single kernels
 //!   wherever no RNG-consuming channel separates them. From
 //!   [`FOLD_MIN_QUBITS`] qubits on, each maximal run of kernels and channels
 //!   on one qubit pair folds into one amplitude sweep: Kraus branches are
@@ -80,7 +83,7 @@ pub mod runner;
 pub mod statevector;
 
 pub use channels::{
-    amplitude_damping_kraus, dephasing_kraus, depolarizing_1q, depolarizing_2q, ArityChannel,
+    amplitude_damping_kraus, dephasing_kraus, depolarizing_1q, depolarizing_2q, AttachedChannel,
     Kraus1q, Kraus2q, KrausChannel,
 };
 pub use density::DensityMatrix;
@@ -88,10 +91,9 @@ pub use engine::{
     EngineBuilder, EngineConfigError, EngineReport, ExecutionEngine, SeedPolicy, SimJob, SimResult,
     DEFAULT_SHOT_CHUNK,
 };
-pub use noise_model::{NoiseModel, OperationNoise};
+pub use noise_model::NoiseModel;
 pub use precompiled::{
-    AttachedChannel, FusionPolicy, PrecompiledCircuit, PrecompiledKind, PrecompiledOp,
-    FOLD_MIN_QUBITS,
+    FusionPolicy, PrecompiledCircuit, PrecompiledKind, PrecompiledOp, FOLD_MIN_QUBITS,
 };
 pub use runner::{Counts, CountsMismatch};
 pub use statevector::{MeasurementSampler, StateVector, PARALLEL_SWEEP_MIN_QUBITS};

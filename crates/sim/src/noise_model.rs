@@ -13,19 +13,8 @@ use device::DeviceModel;
 use serde::{Deserialize, Serialize};
 
 use crate::channels::{
-    depolarizing_1q, depolarizing_2q, thermal_relaxation, ArityChannel, Kraus1q, Kraus2q,
+    depolarizing_1q, depolarizing_2q, thermal_relaxation, AttachedChannel, Kraus1q, Kraus2q,
 };
-
-/// The noise applied around one circuit operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OperationNoise {
-    /// Depolarizing channel matched to the operation arity (dimension 2 or 4),
-    /// or `None` for noiseless operations.
-    pub depolarizing: Option<ArityChannel>,
-    /// Per-qubit thermal relaxation channels `(qubit, channel)` applied for the
-    /// operation's duration.
-    pub relaxation: Vec<(QubitId, Kraus1q)>,
-}
 
 /// A device-derived noise model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,69 +64,58 @@ impl NoiseModel {
         }
     }
 
-    /// Builds the noise to apply after `op`.
-    pub fn noise_for(&self, op: &Operation) -> OperationNoise {
+    /// The channels to apply after `op`, in the order a trajectory applies
+    /// them: the depolarizing channel of a noisy unitary (on the op's qubits),
+    /// then one thermal-relaxation channel per qubit for the op's duration.
+    pub fn noise_for(&self, op: &Operation) -> Vec<AttachedChannel> {
         self.noise_with(op, &mut ChannelMemo::default())
     }
 
-    /// Builds the noise to apply after `op`, taking each channel from `memo`
-    /// when an earlier op of the same lowering already built it.
-    pub(crate) fn noise_with(&self, op: &Operation, memo: &mut ChannelMemo) -> OperationNoise {
+    /// [`NoiseModel::noise_for`], taking each channel from `memo` when an
+    /// earlier op of the same lowering already built it.
+    pub(crate) fn noise_with(
+        &self,
+        op: &Operation,
+        memo: &mut ChannelMemo,
+    ) -> Vec<AttachedChannel> {
         use nuop_core::HardwareFidelityProvider as _;
         let durations = self.device.durations();
-        match op.kind() {
+        let qubits = op.qubits();
+        let (depolarizing, duration_ns) = match op.kind() {
             OpKind::Unitary1Q { .. } => {
-                let q = op.qubits()[0];
-                let err = (1.0 - self.device.one_qubit_fidelity(q)).clamp(0.0, 1.0);
-                OperationNoise {
-                    depolarizing: if err > 0.0 {
-                        Some(ArityChannel::One(memo.depolarizing_1q(err)))
-                    } else {
-                        None
-                    },
-                    relaxation: self.relaxation_for(&[q], durations.one_qubit_ns, memo),
-                }
+                let qubit = qubits[0];
+                let err = (1.0 - self.device.one_qubit_fidelity(qubit)).clamp(0.0, 1.0);
+                let channel = (err > 0.0).then(|| AttachedChannel::One {
+                    channel: memo.depolarizing_1q(err),
+                    qubit,
+                });
+                (channel, durations.one_qubit_ns)
             }
             OpKind::Unitary2Q { label, .. } => {
-                let (q0, q1) = (op.qubits()[0], op.qubits()[1]);
+                let (q0, q1) = (qubits[0], qubits[1]);
                 let fid = self.device.two_qubit_fidelity(q0, q1, label);
                 let err = ((1.0 - fid) * self.two_qubit_error_scale).clamp(0.0, 1.0);
-                OperationNoise {
-                    depolarizing: if err > 0.0 {
-                        Some(ArityChannel::Two(memo.depolarizing_2q(err)))
-                    } else {
-                        None
-                    },
-                    relaxation: self.relaxation_for(&[q0, q1], durations.two_qubit_ns, memo),
-                }
+                let channel = (err > 0.0).then(|| AttachedChannel::Two {
+                    channel: memo.depolarizing_2q(err),
+                    q0,
+                    q1,
+                });
+                (channel, durations.two_qubit_ns)
             }
-            OpKind::Measure => OperationNoise {
-                depolarizing: None,
-                relaxation: self.relaxation_for(op.qubits(), durations.measurement_ns, memo),
-            },
-            OpKind::Barrier => OperationNoise {
-                depolarizing: None,
-                relaxation: Vec::new(),
-            },
-        }
-    }
-
-    fn relaxation_for(
-        &self,
-        qubits: &[QubitId],
-        duration_ns: f64,
-        memo: &mut ChannelMemo,
-    ) -> Vec<(QubitId, Kraus1q)> {
-        if !self.with_relaxation {
-            return Vec::new();
-        }
-        qubits
-            .iter()
-            .map(|&q| {
-                let cal = self.device.qubit(q);
-                (q, memo.relaxation(duration_ns, cal.t1_us, cal.t2_us))
-            })
-            .collect()
+            OpKind::Measure => (None, durations.measurement_ns),
+            OpKind::Barrier => return Vec::new(),
+        };
+        let relaxed = if self.with_relaxation { qubits } else { &[] };
+        let mut channels = Vec::with_capacity(usize::from(depolarizing.is_some()) + relaxed.len());
+        channels.extend(depolarizing);
+        channels.extend(relaxed.iter().map(|&qubit| {
+            let cal = self.device.qubit(qubit);
+            AttachedChannel::One {
+                channel: memo.relaxation(duration_ns, cal.t1_us, cal.t2_us),
+                qubit,
+            }
+        }));
+        channels
     }
 }
 
@@ -185,6 +163,20 @@ mod tests {
     use super::*;
     use qmath::RngSeed;
 
+    /// The error weight `1 - ‖K_0‖²/d` of an op's first channel, its
+    /// depolarizing one when the op has one.
+    fn first_channel_weight(channels: &[AttachedChannel]) -> f64 {
+        match channels.first() {
+            Some(AttachedChannel::One { channel, .. }) => {
+                1.0 - channel.operators()[0].frobenius_norm().powi(2) / 2.0
+            }
+            Some(AttachedChannel::Two { channel, .. }) => {
+                1.0 - channel.operators()[0].frobenius_norm().powi(2) / 4.0
+            }
+            None => 0.0,
+        }
+    }
+
     #[test]
     fn two_qubit_noise_uses_gate_specific_fidelity() {
         let device = DeviceModel::aspen8(RngSeed(1));
@@ -194,12 +186,11 @@ mod tests {
         let xy = Operation::unitary2q("XY(pi)", gates::fsim::xy(std::f64::consts::PI), 2, 3);
         let ncz = model.noise_for(&cz);
         let nxy = model.noise_for(&xy);
-        // Both are depolarizing channels; CZ's error weight should be larger.
-        let weight = |n: &OperationNoise| match &n.depolarizing {
-            Some(ArityChannel::Two(c)) => 1.0 - c.operators()[0].frobenius_norm().powi(2) / 4.0,
-            _ => 0.0,
-        };
-        assert!(weight(&ncz) > weight(&nxy));
+        // Both lead with a two-qubit depolarizing channel; CZ's error weight
+        // should be larger.
+        assert!(matches!(ncz[0], AttachedChannel::Two { q0: 2, q1: 3, .. }));
+        assert!(matches!(nxy[0], AttachedChannel::Two { q0: 2, q1: 3, .. }));
+        assert!(first_channel_weight(&ncz) > first_channel_weight(&nxy));
     }
 
     #[test]
@@ -207,9 +198,7 @@ mod tests {
         let device = DeviceModel::sycamore(RngSeed(2));
         let model = NoiseModel::noiseless(&device);
         let op = Operation::unitary2q("SYC", *gates::GateType::syc().unitary(), 0, 1);
-        let noise = model.noise_for(&op);
-        assert!(noise.depolarizing.is_none());
-        assert!(noise.relaxation.is_empty());
+        assert!(model.noise_for(&op).is_empty());
         assert_eq!(model.readout_error(0), 0.0);
     }
 
@@ -224,12 +213,7 @@ mod tests {
             0,
             1,
         ));
-        let err_weight = |n: &OperationNoise| match &n.depolarizing {
-            Some(ArityChannel::One(c)) => 1.0 - c.operators()[0].frobenius_norm().powi(2) / 2.0,
-            Some(ArityChannel::Two(c)) => 1.0 - c.operators()[0].frobenius_norm().powi(2) / 4.0,
-            None => 0.0,
-        };
-        assert!(err_weight(&one) < err_weight(&two));
+        assert!(first_channel_weight(&one) < first_channel_weight(&two));
     }
 
     #[test]
@@ -238,7 +222,11 @@ mod tests {
         let mut model = NoiseModel::from_device(&device);
         model.two_qubit_error_scale = 0.0;
         let op = Operation::unitary2q("SYC", *gates::GateType::syc().unitary(), 0, 1);
-        assert!(model.noise_for(&op).depolarizing.is_none());
+        let noise = model.noise_for(&op);
+        assert_eq!(noise.len(), 2);
+        assert!(noise
+            .iter()
+            .all(|channel| matches!(channel, AttachedChannel::One { .. })));
     }
 
     #[test]
@@ -247,8 +235,13 @@ mod tests {
         let model = NoiseModel::from_device(&device);
         let m = Operation::measure(vec![0, 1]);
         let noise = model.noise_for(&m);
-        assert!(noise.depolarizing.is_none());
-        assert_eq!(noise.relaxation.len(), 2);
+        assert!(matches!(
+            noise[..],
+            [
+                AttachedChannel::One { qubit: 0, .. },
+                AttachedChannel::One { qubit: 1, .. }
+            ]
+        ));
         assert!(model.readout_error(0) > 0.0);
     }
 
@@ -256,8 +249,8 @@ mod tests {
     fn barrier_is_noise_free() {
         let device = DeviceModel::aspen8(RngSeed(6));
         let model = NoiseModel::from_device(&device);
-        let noise = model.noise_for(&Operation::barrier(vec![0, 1, 2]));
-        assert!(noise.depolarizing.is_none());
-        assert!(noise.relaxation.is_empty());
+        assert!(model
+            .noise_for(&Operation::barrier(vec![0, 1, 2]))
+            .is_empty());
     }
 }

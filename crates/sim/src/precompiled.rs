@@ -6,15 +6,21 @@
 //! once, before the first shot. A [`PrecompiledCircuit`] performs that
 //! lowering:
 //!
-//! * every unitary is converted to its stack-allocated [`Mat2`]/[`Mat4`] form,
-//! * every op's depolarizing channel and per-qubit relaxation [`Kraus1q`]
-//!   channels are attached up front. Each distinct channel is built (and
-//!   completeness-checked by [`KrausChannel::new`](crate::KrausChannel::new))
-//!   once per lowering: a channel is a pure function of the bits of its
-//!   parameters (the error probability of a depolarizing channel; duration,
-//!   T1 and T2 of a relaxation), so ops that share them get clones of one
-//!   channel, equal to what [`NoiseModel::noise_for`] builds for each op,
+//! * every unitary's [`Mat2`]/[`Mat4`] is copied, with its qubits, into a
+//!   [`PrecompiledKind`] kernel,
+//! * every op's channels are attached up front, as one list of
+//!   [`AttachedChannel`]s in the order a trajectory applies them (the
+//!   depolarizing channel, then one relaxation [`Kraus1q`] per qubit). Each
+//!   distinct channel is built (and completeness-checked by
+//!   [`KrausChannel::new`](crate::KrausChannel::new)) once per lowering: a
+//!   channel is a pure function of the bits of its parameters (the error
+//!   probability of a depolarizing channel; duration, T1 and T2 of a
+//!   relaxation), so ops that share them get clones of one channel, equal to
+//!   what [`NoiseModel::noise_for`] builds for each op,
 //! * readout-error probabilities are resolved into a flat per-qubit table.
+//!
+//! The trajectory, the exact density matrix and the verifier's view each
+//! walk an op's kernel and then its one channel list, in order.
 //!
 //! # Gate fusion
 //!
@@ -42,15 +48,16 @@
 //! [`FusionPolicy::Aggressive`] additionally fuses *across* noise channels by
 //! carrying them forward: when an op with channels is absorbed into a later
 //! kernel `U`, each of its channels `{K_i}` is commuted past `U` into
-//! `{U K_i U†}` and re-attached after the fused kernel. Conjugation commutes a
-//! channel past a unitary exactly — `‖U K U† (U|ψ⟩)‖ = ‖K|ψ⟩‖` for every
-//! operator, so both the per-branch probabilities and the post-branch states
-//! are unchanged. While the fusion scan runs, a carried channel keeps the
-//! Kraus set the lowering built and a *frame* `V`, the product of the kernels
-//! it has crossed so far, and stands for `{V K_i V†}`. A one-qubit channel's
-//! `V` is a [`Mat2`] on its qubit until a two-qubit kernel on that qubit
-//! widens it to a [`Mat4`] on the kernel's pair; a two-qubit channel's `V` is
-//! a [`Mat4`] on its own pair from the start, and a kernel on the reversed
+//! `{U K_i U†}` and re-attached after the fused kernel, ahead of the
+//! absorbing op's own channels. Conjugation commutes a channel past a
+//! unitary exactly — `‖U K U† (U|ψ⟩)‖ = ‖K|ψ⟩‖` for every operator, so both
+//! the per-branch probabilities and the post-branch states are unchanged.
+//! While the fusion scan runs, a carried channel keeps the Kraus set the
+//! lowering built and a *frame* `V`, the product of the kernels it has
+//! crossed so far, and stands for `{V K_i V†}`. A one-qubit channel's `V` is
+//! a [`Mat2`] on its qubit until a two-qubit kernel on that qubit widens it
+//! to a [`Mat4`] on the kernel's pair; a two-qubit channel's `V` is a
+//! [`Mat4`] on its own pair from the start, and a kernel on the reversed
 //! pair multiplies in with its tensor factors swapped. Crossing a kernel costs
 //! one small-matrix product per channel, however many operators the channel
 //! has. When the scan ends, each output op's channels are conjugated once
@@ -112,7 +119,7 @@ use qmath::{Mat2, Mat4, SmallMat};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::channels::{ArityChannel, Kraus1q, Kraus2q, KrausChannel, UnitaryMixTerm};
+use crate::channels::{AttachedChannel, Kraus1q, Kraus2q, KrausChannel, UnitaryMixTerm};
 use crate::noise_model::{ChannelMemo, NoiseModel};
 use crate::statevector::{StateVector, PARALLEL_SWEEP_MIN_QUBITS};
 
@@ -197,107 +204,27 @@ pub enum PrecompiledKind {
     Silent,
 }
 
-/// A depolarizing channel attached to a lowered op, carrying its own target
-/// qubits.
-///
-/// Before gate fusion the channel's targets always coincided with the op's
-/// qubits, so [`ArityChannel`] alone was enough. A fused op can carry a
-/// channel narrower than its kernel (a 1Q gate with 1Q noise absorbed into a
-/// 2Q kernel keeps its 1Q channel), so the targets are stored explicitly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttachedChannel {
-    /// A single-qubit channel.
-    One {
-        /// The Kraus channel.
-        channel: Kraus1q,
-        /// The qubit it acts on.
-        qubit: QubitId,
-    },
-    /// A two-qubit channel (`q0` is the most significant qubit).
-    Two {
-        /// The Kraus channel.
-        channel: Kraus2q,
-        /// First (most significant) qubit.
-        q0: QubitId,
-        /// Second qubit.
-        q1: QubitId,
-    },
-}
-
-impl AttachedChannel {
-    /// Builds the attachment from an arity-matched channel and the op's
-    /// qubits.
-    fn from_arity(channel: ArityChannel, qubits: &[QubitId]) -> Self {
-        match (channel, qubits) {
-            (ArityChannel::One(channel), [q]) => AttachedChannel::One { channel, qubit: *q },
-            (ArityChannel::Two(channel), [q0, q1]) => AttachedChannel::Two {
-                channel,
-                q0: *q0,
-                q1: *q1,
-            },
-            (channel, qubits) => unreachable!(
-                "noise_for returned a dim-{} channel for a {}-qubit op",
-                match channel {
-                    ArityChannel::One(_) => 2,
-                    ArityChannel::Two(_) => 4,
-                },
-                qubits.len()
-            ),
-        }
-    }
-
-    /// True when the channel consumes no randomness when applied.
-    pub fn is_identity(&self) -> bool {
-        match self {
-            AttachedChannel::One { channel, .. } => channel.is_identity(),
-            AttachedChannel::Two { channel, .. } => channel.is_identity(),
-        }
-    }
-}
-
 /// One circuit operation lowered to its simulation-ready form: the unitary
 /// kernel plus the prebuilt noise channels that follow it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrecompiledOp {
     /// The unitary kernel (or [`PrecompiledKind::Silent`]).
     pub kind: PrecompiledKind,
-    /// Channels carried forward from earlier ops by
-    /// [`FusionPolicy::Aggressive`], already conjugated past this op's kernel.
-    /// Applied directly after the kernel, before
-    /// [`depolarizing`](PrecompiledOp::depolarizing). Always empty under
-    /// [`FusionPolicy::Off`] and [`FusionPolicy::Safe`].
-    pub carried: Vec<AttachedChannel>,
-    /// Depolarizing channel with its target qubits, `None` when noiseless.
-    pub depolarizing: Option<AttachedChannel>,
-    /// Per-qubit thermal-relaxation channels for the op's duration.
-    pub relaxation: Vec<(QubitId, Kraus1q)>,
+    /// The channels applied after the kernel, in trajectory order: first
+    /// those [`FusionPolicy::Aggressive`] carried forward from earlier ops,
+    /// already conjugated past this op's kernel (none under
+    /// [`FusionPolicy::Off`] and [`FusionPolicy::Safe`]), then the op's own
+    /// channels as [`NoiseModel::noise_for`] lists them: its depolarizing
+    /// channel, then one thermal-relaxation channel per qubit.
+    pub channels: Vec<AttachedChannel>,
 }
 
 impl PrecompiledOp {
-    /// True when applying this op draws no randomness: its carried and
-    /// depolarizing channels are absent or identity and every relaxation
-    /// channel is identity. Fusing a *later* op into such an op cannot disturb
-    /// the RNG stream.
+    /// True when applying this op draws no randomness: every channel is
+    /// identity. Fusing a *later* op into such an op cannot disturb the RNG
+    /// stream.
     fn consumes_no_rng(&self) -> bool {
-        self.channels().all(|channel| channel.is_identity())
-    }
-
-    /// The op's channels in trajectory order: carried, depolarizing, then
-    /// relaxation.
-    fn channels(&self) -> impl Iterator<Item = OpChannel<'_>> + Clone {
-        let attached = self
-            .carried
-            .iter()
-            .chain(&self.depolarizing)
-            .map(|channel| match channel {
-                AttachedChannel::One { channel, qubit } => OpChannel::One(channel, *qubit),
-                AttachedChannel::Two { channel, q0, q1 } => OpChannel::Two(channel, *q0, *q1),
-            });
-        let relaxation = self
-            .relaxation
-            .iter()
-            .map(|(q, channel)| OpChannel::One(channel, *q));
-        attached.chain(relaxation)
+        self.channels.iter().all(AttachedChannel::is_identity)
     }
 
     /// The op's trajectory items: its kernel, then its non-identity channels
@@ -309,7 +236,8 @@ impl PrecompiledOp {
             PrecompiledKind::Silent => None,
         };
         let channels = self
-            .channels()
+            .channels
+            .iter()
             .filter(|channel| !channel.is_identity())
             .map(Item::Channel);
         kernel.into_iter().chain(channels)
@@ -342,10 +270,6 @@ pub struct PrecompiledCircuit {
 impl PrecompiledCircuit {
     /// Lowers `circuit` under `noise` without fusion, building every Kraus
     /// channel exactly once.
-    ///
-    /// # Panics
-    /// Panics if an operation carries a matrix of the wrong dimension (which
-    /// [`circuit::Operation`] construction already prevents).
     pub fn new(circuit: &Circuit, noise: &NoiseModel) -> Self {
         PrecompiledCircuit::with_fusion(circuit, noise, FusionPolicy::Off)
     }
@@ -359,16 +283,9 @@ impl PrecompiledCircuit {
         let mut memo = ChannelMemo::default();
         let ops = circuit
             .iter()
-            .map(|op| {
-                let op_noise = noise.noise_with(op, &mut memo);
-                PrecompiledOp {
-                    kind: lower_kind(op),
-                    carried: Vec::new(),
-                    depolarizing: op_noise
-                        .depolarizing
-                        .map(|c| AttachedChannel::from_arity(c, op.qubits())),
-                    relaxation: op_noise.relaxation,
-                }
+            .map(|op| PrecompiledOp {
+                kind: lower_kind(op),
+                channels: noise.noise_with(op, &mut memo),
             })
             .collect();
         let readout_error = (0..circuit.num_qubits())
@@ -391,9 +308,7 @@ impl PrecompiledCircuit {
             .iter()
             .map(|op| PrecompiledOp {
                 kind: lower_kind(op),
-                carried: Vec::new(),
-                depolarizing: None,
-                relaxation: Vec::new(),
+                channels: Vec::new(),
             })
             .collect();
         let readout_error = vec![0.0; circuit.num_qubits()];
@@ -521,30 +436,14 @@ impl PrecompiledCircuit {
     }
 }
 
-/// A noise channel of a lowered op, borrowed, with the qubits it acts on.
-#[derive(Debug, Clone, Copy)]
-enum OpChannel<'a> {
-    One(&'a Kraus1q, QubitId),
-    Two(&'a Kraus2q, QubitId, QubitId),
-}
-
-impl<'a> OpChannel<'a> {
-    fn is_identity(&self) -> bool {
-        match self {
-            OpChannel::One(channel, _) => channel.is_identity(),
-            OpChannel::Two(channel, ..) => channel.is_identity(),
-        }
-    }
-
-    /// The channel placed on the ordered pair `(q0, _)` of a pair run; its
-    /// qubits must lie within the pair.
-    fn in_pair(self, q0: QubitId) -> PairChannel<'a> {
-        match self {
-            OpChannel::One(channel, q) if q == q0 => PairChannel::First(channel),
-            OpChannel::One(channel, _) => PairChannel::Second(channel),
-            OpChannel::Two(channel, a, _) if a == q0 => PairChannel::Pair(channel),
-            OpChannel::Two(channel, ..) => PairChannel::Reversed(channel),
-        }
+/// The channel placed on the ordered pair `(q0, _)` of a pair run; its qubits
+/// must lie within the pair.
+fn in_pair(channel: &AttachedChannel, q0: QubitId) -> PairChannel<'_> {
+    match channel {
+        AttachedChannel::One { channel, qubit } if *qubit == q0 => PairChannel::First(channel),
+        AttachedChannel::One { channel, .. } => PairChannel::Second(channel),
+        AttachedChannel::Two { channel, q0: a, .. } if *a == q0 => PairChannel::Pair(channel),
+        AttachedChannel::Two { channel, .. } => PairChannel::Reversed(channel),
     }
 }
 
@@ -554,15 +453,16 @@ impl<'a> OpChannel<'a> {
 enum Item<'a> {
     Kernel1(&'a Mat2, QubitId),
     Kernel2(&'a Mat4, QubitId, QubitId),
-    Channel(OpChannel<'a>),
+    Channel(&'a AttachedChannel),
 }
 
 impl Item<'_> {
     /// The qubits the item acts on.
     fn qubits(&self) -> (QubitId, Option<QubitId>) {
         match *self {
-            Item::Kernel1(_, q) | Item::Channel(OpChannel::One(_, q)) => (q, None),
-            Item::Kernel2(_, q0, q1) | Item::Channel(OpChannel::Two(_, q0, q1)) => (q0, Some(q1)),
+            Item::Kernel1(_, q) => (q, None),
+            Item::Kernel2(_, q0, q1) => (q0, Some(q1)),
+            Item::Channel(channel) => channel.qubits(),
         }
     }
 }
@@ -585,8 +485,8 @@ fn apply_op<R: Rng + ?Sized>(
         }
         PrecompiledKind::Silent => {}
     }
-    for carried in &op.carried {
-        match carried {
+    for channel in &op.channels {
+        match channel {
             AttachedChannel::One { channel, qubit } => {
                 apply_channel_1q(state, channel, *qubit, rng);
             }
@@ -594,18 +494,6 @@ fn apply_op<R: Rng + ?Sized>(
                 apply_channel_2q(state, channel, *q0, *q1, rng);
             }
         }
-    }
-    match &op.depolarizing {
-        Some(AttachedChannel::One { channel, qubit }) => {
-            apply_channel_1q(state, channel, *qubit, rng);
-        }
-        Some(AttachedChannel::Two { channel, q0, q1 }) => {
-            apply_channel_2q(state, channel, *q0, *q1, rng);
-        }
-        None => {}
-    }
-    for (q, channel) in &op.relaxation {
-        apply_channel_1q(state, channel, *q, rng);
     }
 }
 
@@ -676,10 +564,10 @@ fn fold_qubit<'a, R: Rng + ?Sized>(
     for item in items {
         match item {
             Item::Kernel1(u, _) => fold.apply(u),
-            Item::Channel(OpChannel::One(channel, _)) => {
+            Item::Channel(AttachedChannel::One { channel, .. }) => {
                 fold.pick(channel, rng, || state.reduced_density_1q(qubit));
             }
-            Item::Kernel2(..) | Item::Channel(OpChannel::Two(..)) => {
+            Item::Kernel2(..) | Item::Channel(AttachedChannel::Two { .. }) => {
                 unreachable!("a one-qubit run holds one-qubit items only")
             }
         }
@@ -706,7 +594,7 @@ fn fold_pair<'a, R: Rng + ?Sized>(
             Item::Kernel2(u, a, _) if a == q0 => fold.apply(u),
             Item::Kernel2(u, ..) => fold.apply(&swap_tensor_factors(u)),
             Item::Channel(channel) => {
-                fold.pick(&channel.in_pair(q0), rng, || {
+                fold.pick(&in_pair(channel, q0), rng, || {
                     state.reduced_density_2q(q0, q1)
                 });
             }
@@ -868,28 +756,16 @@ fn trace_of_product<const N: usize>(a: &SmallMat<N>, b: &SmallMat<N>) -> f64 {
     acc
 }
 
-/// Stack-allocates a 1Q op's matrix. `Operation` construction shape-checks
-/// every unitary, so the conversion is infallible for circuit-borne matrices;
-/// the panic merely documents that invariant at the sim boundary.
-pub(crate) fn op_mat2(matrix: &qmath::CMatrix) -> Mat2 {
-    Mat2::try_from(matrix).expect("1Q operation carries a 2x2 matrix")
-}
-
-/// Stack-allocates a 2Q op's matrix (see [`op_mat2`]).
-pub(crate) fn op_mat4(matrix: &qmath::CMatrix) -> Mat4 {
-    Mat4::try_from(matrix).expect("2Q operation carries a 4x4 matrix")
-}
-
-/// Converts one circuit operation's unitary into its stack-allocated kernel —
-/// the single lowering rule shared by the noisy and ideal constructors.
+/// Copies one circuit operation's kernel and qubits — the single lowering
+/// rule shared by the noisy and ideal constructors.
 fn lower_kind(op: &circuit::Operation) -> PrecompiledKind {
     match op.kind() {
         OpKind::Unitary1Q { matrix, .. } => PrecompiledKind::Unitary1Q {
-            matrix: op_mat2(matrix),
+            matrix: *matrix,
             qubit: op.qubits()[0],
         },
         OpKind::Unitary2Q { matrix, .. } => PrecompiledKind::Unitary2Q {
-            matrix: op_mat4(matrix),
+            matrix: *matrix,
             q0: op.qubits()[0],
             q1: op.qubits()[1],
         },
@@ -1034,9 +910,10 @@ fn qubits_overlap(a: (QubitId, Option<QubitId>), b: (QubitId, Option<QubitId>)) 
 /// operator. The one crossing a frame cannot take, a two-qubit frame sharing
 /// exactly one qubit with a two-qubit kernel, declines the fusion before
 /// anything moves ([`can_carry`]). When the scan ends, each output op's
-/// channels are conjugated by their frames once ([`Carried::materialize`])
-/// and composed once ([`compress_carried`]). Returns the fused list and the
-/// number of ops eliminated.
+/// carried channels are conjugated by their frames once
+/// ([`Carried::materialize`]), composed once ([`compress_carried`]) and put
+/// ahead of its own channels. Returns the fused list and the number of ops
+/// eliminated.
 fn fuse_ops(ops: Vec<PrecompiledOp>, aggressive: bool) -> (Vec<PrecompiledOp>, usize) {
     let mut out: Vec<PrecompiledOp> = Vec::with_capacity(ops.len());
     // `pending[i]`: the channels `out[i]` carries, still lazy. Without
@@ -1090,49 +967,37 @@ fn fuse_ops(ops: Vec<PrecompiledOp>, aggressive: bool) -> (Vec<PrecompiledOp>, u
         pending.push(cur_pending);
     }
     for (op, carried) in out.iter_mut().zip(pending) {
-        op.carried = compress_carried(carried.into_iter().map(Carried::materialize).collect());
+        if !carried.is_empty() {
+            let mut channels =
+                compress_carried(carried.into_iter().map(Carried::materialize).collect());
+            channels.append(&mut op.channels);
+            op.channels = channels;
+        }
     }
     (out, fused)
 }
 
 /// True when every channel `prev` would carry — its pending ones and its
-/// depolarizing channel — can cross `kernel`. The one crossing that blocks
-/// a fusion is a two-qubit frame sharing exactly one qubit with a two-qubit
-/// kernel: its conjugate would act on three qubits.
+/// own — can cross `kernel`. The one crossing that blocks a fusion is a
+/// two-qubit frame sharing exactly one qubit with a two-qubit kernel: its
+/// conjugate would act on three qubits.
 fn can_carry(prev: &PrecompiledOp, pending: &[Carried], kernel: &PrecompiledKind) -> bool {
-    let own = match &prev.depolarizing {
-        Some(AttachedChannel::Two { q0, q1, .. }) => !overlaps_partially((*q0, *q1), kernel),
-        Some(AttachedChannel::One { .. }) | None => true,
-    };
+    let own = prev.channels.iter().all(|channel| match *channel {
+        AttachedChannel::Two { q0, q1, .. } => !overlaps_partially((q0, q1), kernel),
+        AttachedChannel::One { .. } => true,
+    });
     own && pending.iter().all(|carried| carried.can_cross(kernel))
 }
 
-/// Moves `prev`'s real (non-identity) channels — `pending`, depolarizing,
-/// relaxation, in trajectory order — out of it, each frame crossed past
-/// `kernel`, so they can be carried after the fused kernel. Callers check
-/// [`can_carry`] first.
+/// Moves `prev`'s real (non-identity) channels — `pending`, then its own, in
+/// trajectory order — out of it, each frame crossed past `kernel`, so they
+/// can be carried after the fused kernel. Callers check [`can_carry`] first.
 fn carry(prev: PrecompiledOp, mut pending: Vec<Carried>, kernel: &PrecompiledKind) -> Vec<Carried> {
-    let depolarizing = prev
-        .depolarizing
+    let own = prev
+        .channels
         .into_iter()
-        .filter(|channel| !channel.is_identity())
-        .map(|channel| match channel {
-            AttachedChannel::One { channel, qubit } => Carried::one(channel, qubit),
-            AttachedChannel::Two { channel, q0, q1 } => Carried::Two {
-                channel,
-                frame: PairFrame {
-                    v: Mat4::identity(),
-                    q0,
-                    q1,
-                },
-            },
-        });
-    let relaxation = prev
-        .relaxation
-        .into_iter()
-        .filter(|(_, channel)| !channel.is_identity())
-        .map(|(qubit, channel)| Carried::one(channel, qubit));
-    pending.extend(depolarizing.chain(relaxation));
+        .filter(|channel| !channel.is_identity());
+    pending.extend(own.map(Carried::new));
     for channel in &mut pending {
         channel.cross(kernel);
     }
@@ -1209,12 +1074,22 @@ fn overlaps_partially((a, b): (QubitId, QubitId), kernel: &PrecompiledKind) -> b
 }
 
 impl Carried {
-    /// A one-qubit channel on `qubit` that has crossed nothing yet.
-    fn one(channel: Kraus1q, qubit: QubitId) -> Carried {
-        Carried::One {
-            channel,
-            qubit,
-            frame: QubitFrame::Qubit(Mat2::identity()),
+    /// `channel` with a frame that has crossed nothing yet.
+    fn new(channel: AttachedChannel) -> Carried {
+        match channel {
+            AttachedChannel::One { channel, qubit } => Carried::One {
+                channel,
+                qubit,
+                frame: QubitFrame::Qubit(Mat2::identity()),
+            },
+            AttachedChannel::Two { channel, q0, q1 } => Carried::Two {
+                channel,
+                frame: PairFrame {
+                    v: Mat4::identity(),
+                    q0,
+                    q1,
+                },
+            },
         }
     }
 
@@ -1317,14 +1192,6 @@ impl Carried {
 /// separate (each then costs one RNG draw instead of one combined draw).
 const MAX_COMPOSED_KRAUS: usize = 64;
 
-/// The qubit set an attached channel acts on.
-fn attached_qubits(ch: &AttachedChannel) -> (QubitId, Option<QubitId>) {
-    match ch {
-        AttachedChannel::One { qubit, .. } => (*qubit, None),
-        AttachedChannel::Two { q0, q1, .. } => (*q0, Some(*q1)),
-    }
-}
-
 /// Composes adjacent same-target carried channels to bound the RNG draws per
 /// fused kernel. Each incoming channel scans backward across channels on
 /// disjoint qubits (which commute with it) for one on the same target; a
@@ -1338,7 +1205,7 @@ fn compress_carried(channels: Vec<AttachedChannel>) -> Vec<AttachedChannel> {
                 *slot = merged;
                 continue 'next;
             }
-            if qubits_overlap(attached_qubits(slot), attached_qubits(&ch)) {
+            if qubits_overlap(slot.qubits(), ch.qubits()) {
                 break;
             }
         }
@@ -1502,8 +1369,12 @@ mod tests {
             PrecompiledKind::Unitary2Q { q0: 0, q1: 1, .. }
         ));
         assert!(matches!(pre.ops()[2].kind, PrecompiledKind::Silent));
-        // Noisy device: channels were prebuilt.
-        assert!(pre.ops()[1].depolarizing.is_some());
+        // Noisy device: channels were prebuilt, the CNOT's depolarizing one
+        // first.
+        assert!(matches!(
+            pre.ops()[1].channels[0],
+            AttachedChannel::Two { q0: 0, q1: 1, .. }
+        ));
         assert!(!pre.is_noiseless());
         assert_eq!(pre.fusion(), FusionPolicy::Off);
         assert_eq!(pre.fused_ops(), 0);
@@ -1514,7 +1385,7 @@ mod tests {
         let pre = PrecompiledCircuit::ideal(&bell_circuit());
         assert!(pre.is_noiseless());
         assert!(pre.readout_error().iter().all(|&p| p == 0.0));
-        assert!(pre.ops().iter().all(|op| op.depolarizing.is_none()));
+        assert!(pre.ops().iter().all(|op| op.channels.is_empty()));
     }
 
     #[test]
@@ -1621,8 +1492,8 @@ mod tests {
             PrecompiledKind::Unitary2Q { q0: 0, q1: 1, .. }
         ));
         assert!(matches!(
-            op.depolarizing,
-            Some(AttachedChannel::Two { q0: 0, q1: 1, .. })
+            op.channels[..],
+            [AttachedChannel::Two { q0: 0, q1: 1, .. }]
         ));
     }
 
@@ -1751,17 +1622,8 @@ mod tests {
     }
 
     /// A lowered op with the given kernel and channels.
-    fn op(
-        kind: PrecompiledKind,
-        carried: Vec<AttachedChannel>,
-        relaxation: Vec<(QubitId, Kraus1q)>,
-    ) -> PrecompiledOp {
-        PrecompiledOp {
-            kind,
-            carried,
-            depolarizing: None,
-            relaxation,
-        }
+    fn op(kind: PrecompiledKind, channels: Vec<AttachedChannel>) -> PrecompiledOp {
+        PrecompiledOp { kind, channels }
     }
 
     /// Hand-built ops on a 7-qubit register: a run on the pair (2, 3) that
@@ -1781,39 +1643,27 @@ mod tests {
         let two = |channel: Kraus2q, q0, q1| AttachedChannel::Two { channel, q0, q1 };
         let dense = *gates::GateType::syc().unitary() * standard::h().kron(&standard::rx(0.8));
         vec![
-            op(
-                u1(standard::u3(1.1, 0.2, 0.4), 2),
-                vec![],
-                vec![(2, relax.clone())],
-            ),
-            op(
-                u1(standard::ry(2.0), 3),
-                vec![],
-                vec![(3, identity.clone())],
-            ),
-            // The run's pair is (2, 3), so this kernel and the first carried
-            // channel are reversed.
+            op(u1(standard::u3(1.1, 0.2, 0.4), 2), vec![one(&relax, 2)]),
+            op(u1(standard::ry(2.0), 3), vec![one(&identity, 3)]),
+            // The run's pair is (2, 3), so this kernel and its first channel
+            // are reversed.
             op(
                 u2(dense, 3, 2),
                 vec![
                     two(relax.embed_msb(), 3, 2),
                     one(&identity, 2),
                     two(crate::channels::depolarizing_2q(0.2), 2, 3),
+                    one(&relax, 3),
+                    one(&relax, 2),
                 ],
-                vec![(3, relax.clone()), (2, relax.clone())],
             ),
-            op(u1(standard::rx(0.7), 3), vec![], vec![(3, relax.clone())]),
+            op(u1(standard::rx(0.7), 3), vec![one(&relax, 3)]),
             op(
                 PrecompiledKind::Silent,
-                vec![],
-                vec![(2, relax.clone()), (3, relax.clone()), (5, relax.clone())],
+                vec![one(&relax, 2), one(&relax, 3), one(&relax, 5)],
             ),
-            op(
-                u2(dense, 5, 6),
-                vec![one(&identity, 5)],
-                vec![(6, relax.clone())],
-            ),
-            op(u1(standard::h(), 0), vec![], vec![(0, relax)]),
+            op(u2(dense, 5, 6), vec![one(&identity, 5), one(&relax, 6)]),
+            op(u1(standard::h(), 0), vec![one(&relax, 0)]),
         ]
     }
 
@@ -1899,21 +1749,24 @@ mod tests {
         // 1q channel on 5 as Second; a channel on any other qubit ends the
         // run and starts one of its own.
         let relax = crate::channels::thermal_relaxation(400.0, 20.0, 15.0);
-        let on_pair = relax.embed_msb();
-        assert!(matches!(
-            OpChannel::Two(&on_pair, 5, 3).in_pair(3),
-            PairChannel::Reversed(_)
-        ));
-        assert!(matches!(
-            OpChannel::One(&relax, 5).in_pair(3),
-            PairChannel::Second(_)
-        ));
+        let two = |q0, q1| AttachedChannel::Two {
+            channel: relax.embed_msb(),
+            q0,
+            q1,
+        };
+        let one = |qubit| AttachedChannel::One {
+            channel: relax.clone(),
+            qubit,
+        };
+        assert!(matches!(in_pair(&two(5, 3), 3), PairChannel::Reversed(_)));
+        assert!(matches!(in_pair(&one(5), 3), PairChannel::Second(_)));
         let kernel = gates::standard::cnot();
+        let (reversed, outside, next) = (two(5, 3), one(4), two(3, 4));
         let items = [
             Item::Kernel2(&kernel, 3, 5),
-            Item::Channel(OpChannel::Two(&on_pair, 5, 3)),
-            Item::Channel(OpChannel::One(&relax, 4)),
-            Item::Channel(OpChannel::Two(&on_pair, 3, 4)),
+            Item::Channel(&reversed),
+            Item::Channel(&outside),
+            Item::Channel(&next),
         ];
         let run = |from: usize| next_run(items[from..].iter().copied());
         assert_eq!(
@@ -1978,7 +1831,10 @@ mod tests {
         };
         // A one-qubit frame crosses any kernel; CNOT(0, 1) widens it onto
         // the pair, with the channel in the least significant slot.
-        let mut carried = Carried::one(relax.clone(), 1);
+        let mut carried = Carried::new(AttachedChannel::One {
+            channel: relax.clone(),
+            qubit: 1,
+        });
         assert!(carried.can_cross(&pair(1, 2)));
         carried.cross(&pair(0, 1));
         for kernel in [pair(0, 1), pair(1, 0), h.clone(), pair(2, 3)] {
@@ -2007,13 +1863,11 @@ mod tests {
         // An op's own two-qubit depolarizing channel blocks the same way.
         let noisy = PrecompiledOp {
             kind: pair(0, 1),
-            carried: Vec::new(),
-            depolarizing: Some(AttachedChannel::Two {
+            channels: vec![AttachedChannel::Two {
                 channel: crate::channels::depolarizing_2q(0.1),
                 q0: 0,
                 q1: 1,
-            }),
-            relaxation: Vec::new(),
+            }],
         };
         assert!(can_carry(&noisy, &[], &pair(1, 0)));
         assert!(!can_carry(&noisy, &[], &pair(1, 2)));

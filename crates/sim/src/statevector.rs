@@ -66,8 +66,6 @@ use qmath::{Complex, Mat2, Mat4, SmallMat};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::precompiled::{op_mat2, op_mat4};
-
 /// Number of qubits at or above which the `apply_*_threaded` sweeps split the
 /// amplitude space across worker threads. Below this (≤ 8192 amplitudes) the
 /// scoped-thread setup costs more than the sweep itself and the state is
@@ -603,10 +601,10 @@ impl StateVector {
         for op in circuit.iter() {
             match op.kind() {
                 OpKind::Unitary1Q { matrix, .. } => {
-                    state.apply_one_qubit(&op_mat2(matrix), op.qubits()[0]);
+                    state.apply_one_qubit(matrix, op.qubits()[0]);
                 }
                 OpKind::Unitary2Q { matrix, .. } => {
-                    state.apply_two_qubit(&op_mat4(matrix), op.qubits()[0], op.qubits()[1]);
+                    state.apply_two_qubit(matrix, op.qubits()[0], op.qubits()[1]);
                 }
                 OpKind::Measure | OpKind::Barrier => {}
             }

@@ -10,7 +10,7 @@
 //! [`Artifact`]:
 //!
 //! * [`stage`] — [`Verifier::structural`]: legality of the compilation
-//!   pipeline's stages (bounds, post-routing coupling, post-decomposition
+//!   pipeline's stages (post-routing coupling, post-decomposition
 //!   instruction-set conformance, layout bijections, swap/permutation
 //!   consistency).
 //! * [`kernel`] — [`Verifier::semantic`]: soundness of lowered simulation

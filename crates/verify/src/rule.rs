@@ -41,13 +41,6 @@ pub enum VerifyLevel {
     PerStage,
 }
 
-impl VerifyLevel {
-    /// True unless the level is [`VerifyLevel::Off`].
-    pub fn is_enabled(self) -> bool {
-        self != VerifyLevel::Off
-    }
-}
-
 /// The rule list a [`Verifier`] runs.
 #[derive(Clone, Copy)]
 enum RuleList {

@@ -5,16 +5,18 @@
 //! [`Verifier::structural`](crate::Verifier::structural), prove the stage
 //! invariants of the paper's pipeline (Fig. 1), in this order:
 //!
-//! 1. `circuit/qubit-bounds`: qubit indices in bounds, two-qubit operations
-//!    on distinct qubits (every stage);
-//! 2. `route/coupling`: every post-routing two-qubit operation on a coupled
+//! 1. `route/coupling`: every post-routing two-qubit operation on a coupled
 //!    pair of the subdevice;
-//! 3. `isa/gate-set`: only instruction-set gates after decomposition;
-//! 4. `layout/bijection`: logical↔physical layouts that are bijections;
-//! 5. `layout/swap-consistency`: a final permutation consistent with the
+//! 2. `isa/gate-set`: only instruction-set gates after decomposition;
+//! 3. `layout/bijection`: logical↔physical layouts that are bijections;
+//! 4. `layout/swap-consistency`: a final permutation consistent with the
 //!    recorded SWAPs (right after routing).
+//!
+//! Qubit indices need no rule: `Circuit::push` rejects an index outside the
+//! register and `Operation::new` a two-qubit operation on one qubit, and a
+//! circuit can be built no other way.
 
-use circuit::{Circuit, QubitId};
+use circuit::{Circuit, OpKind, QubitId};
 use device::DeviceModel;
 use gates::{GateSetKind, InstructionSet};
 use qmath::Mat4;
@@ -71,45 +73,11 @@ pub struct StageSnapshot<'a> {
 /// The structural rules over `snap`, in evaluation order.
 pub(crate) fn check(snap: &StageSnapshot<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    qubit_bounds(snap, &mut out);
     coupling(snap, &mut out);
     instruction_set(snap, &mut out);
     layout_bijection(snap, &mut out);
     swap_consistency(snap, &mut out);
     out
-}
-
-/// `circuit/qubit-bounds`: every operation's qubit indices are in range and
-/// two-qubit operations act on distinct qubits. Applies at every stage.
-fn qubit_bounds(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
-    const ID: &str = "circuit/qubit-bounds";
-    let n = snap.circuit.num_qubits();
-    for (i, op) in snap.circuit.iter().enumerate() {
-        for &q in op.qubits() {
-            if q >= n {
-                out.push(
-                    Diagnostic::error(
-                        ID,
-                        format!("op {i} ({}) targets qubit {q} of {n}", op.label()),
-                    )
-                    .at_op(i),
-                );
-            }
-        }
-        if op.is_two_qubit_unitary() && op.qubits()[0] == op.qubits()[1] {
-            out.push(
-                Diagnostic::error(
-                    ID,
-                    format!(
-                        "op {i} ({}) targets qubit {} twice",
-                        op.label(),
-                        op.qubits()[0]
-                    ),
-                )
-                .at_op(i),
-            );
-        }
-    }
 }
 
 /// `route/coupling`: after routing, every two-qubit operation acts on a
@@ -157,18 +125,7 @@ fn instruction_set(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
         return;
     };
     for (i, op) in snap.circuit.iter().enumerate() {
-        if !op.is_two_qubit_unitary() {
-            continue;
-        }
-        let matrix = op.matrix().and_then(|m| Mat4::try_from(m).ok());
-        let Some(matrix) = matrix else {
-            out.push(
-                Diagnostic::error(
-                    ID,
-                    format!("op {i} ({}) does not carry a 4x4 matrix", op.label()),
-                )
-                .at_op(i),
-            );
+        let OpKind::Unitary2Q { matrix, .. } = op.kind() else {
             continue;
         };
         match set.kind() {
@@ -215,7 +172,7 @@ fn instruction_set(snap: &StageSnapshot<'_>, out: &mut Vec<Diagnostic>) {
                 }
                 // Recover the family parameters from the matrix entries
                 // and rebuild; a member reproduces itself exactly.
-                let params = recover_family_params(*family, &matrix);
+                let params = recover_family_params(*family, matrix);
                 let rebuilt = family.unitary(&params);
                 if matrix.max_abs_diff(&rebuilt) > TOLERANCE {
                     out.push(

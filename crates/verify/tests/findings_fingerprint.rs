@@ -18,10 +18,9 @@
 //! - each list given an artifact of another list's kind, which reports
 //!   nothing.
 //!
-//! Every rule id but `circuit/qubit-bounds` appears. That rule is a backstop
-//! the typed constructors keep silent: `Circuit::push` rejects out-of-range
-//! qubits and `Operation::new` degenerate pairs (see `mutations.rs`), so the
-//! pin holds it to reporting nothing on every snapshot.
+//! Every rule id appears. There is no qubit-bounds rule: `Circuit::push`
+//! rejects out-of-range qubits and `Operation::new` degenerate pairs (see
+//! `mutations.rs`), so no snapshot can hold either.
 //!
 //! The recorded hash was produced on x86-64 Linux, where CI runs. The
 //! equivalence probe state goes through the platform's `sin`, whose last bits

@@ -102,9 +102,9 @@ fn mislabelled_gate_matrix_is_caught_by_isa_rule_only() {
 fn qubit_bounds_mutants_are_rejected_at_construction() {
     // The circuit layer makes both bounds mutants unrepresentable through its
     // public constructors: out-of-range indices are rejected by
-    // `Circuit::push` and degenerate two-qubit ops by `Operation::new`. The
-    // `circuit/qubit-bounds` rule is the backstop for artifacts that arrive
-    // from outside the typed constructors (e.g. future wire decoding).
+    // `Circuit::push` and degenerate two-qubit ops by `Operation::new`. A
+    // circuit can be built no other way, so the verifier has no qubit-bounds
+    // rule; these constructors are the check.
     let out_of_range = std::panic::catch_unwind(|| {
         let mut circuit = Circuit::new(3);
         circuit.push(Operation::h(7));

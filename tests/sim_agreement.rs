@@ -12,8 +12,8 @@ use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
 use sim::{
-    ArityChannel, AttachedChannel, Counts, DensityMatrix, ExecutionEngine, FusionPolicy,
-    NoiseModel, PrecompiledCircuit, SeedPolicy, SimJob, FOLD_MIN_QUBITS,
+    AttachedChannel, Counts, DensityMatrix, ExecutionEngine, FusionPolicy, NoiseModel,
+    PrecompiledCircuit, SeedPolicy, SimJob, FOLD_MIN_QUBITS,
 };
 
 fn bell_plus_rotation() -> Circuit {
@@ -196,12 +196,19 @@ fn folded_trajectories_match_the_density_matrix_above_the_fold_threshold() {
 /// unfused lowering has it, to 1e-10 per entry: carrying a channel past a
 /// kernel must give the same mixture, not only the same distribution. Also
 /// asserts that the lowering did carry channels, so the comparison is not
-/// vacuous.
+/// vacuous: an op's own channels are those of the unfused lowering, while a
+/// carried one has been conjugated past at least one kernel.
 fn assert_aggressive_lowering_is_exact(circuit: &Circuit, noise: &NoiseModel, label: &str) {
     let unfused = PrecompiledCircuit::new(circuit, noise);
     let aggressive = PrecompiledCircuit::with_fusion(circuit, noise, FusionPolicy::Aggressive);
+    let unfused_channels: Vec<&AttachedChannel> =
+        unfused.ops().iter().flat_map(|op| &op.channels).collect();
     assert!(
-        aggressive.ops().iter().any(|op| !op.carried.is_empty()),
+        aggressive
+            .ops()
+            .iter()
+            .flat_map(|op| &op.channels)
+            .any(|channel| !unfused_channels.contains(&channel)),
         "{label}: Aggressive fusion carried no channel"
     );
     let expected = DensityMatrix::evolve_precompiled(&unfused);
@@ -273,33 +280,23 @@ fn aggressive_lowering_evolves_the_exact_density_matrix_of_the_unfused_one() {
 }
 
 /// Asserts that every op of the unfused lowering carries exactly the
-/// depolarizing and relaxation channels that `noise_for` builds for its
-/// source op. The lowering builds each distinct channel once and hands out
-/// clones, so a memo keyed on too little would give some op another op's
-/// channel. Also asserts that some channel was shared, so the comparison is
-/// not vacuous.
+/// channels that `noise_for` builds for its source op. The lowering builds
+/// each distinct channel once and hands out clones, so a memo keyed on too
+/// little would give some op another op's channel. Also asserts that some
+/// channel was shared, so the comparison is not vacuous.
 fn assert_lowered_channels_match_noise_for(circuit: &Circuit, noise: &NoiseModel, label: &str) {
     let lowered = PrecompiledCircuit::with_fusion(circuit, noise, FusionPolicy::Off);
     assert_eq!(lowered.ops().len(), circuit.len(), "{label}");
     for (i, (op, lowered)) in circuit.iter().zip(lowered.ops()).enumerate() {
-        let expected = noise.noise_for(op);
-        let depolarizing = expected
-            .depolarizing
-            .map(|channel| match (channel, op.qubits()) {
-                (ArityChannel::One(channel), &[qubit]) => AttachedChannel::One { channel, qubit },
-                (ArityChannel::Two(channel), &[q0, q1]) => AttachedChannel::Two { channel, q0, q1 },
-                (_, qubits) => panic!("{label}, op {i}: channel arity for {qubits:?}"),
-            });
-        assert_eq!(lowered.depolarizing, depolarizing, "{label}, op {i}");
-        assert_eq!(lowered.relaxation, expected.relaxation, "{label}, op {i}");
-        assert!(lowered.carried.is_empty(), "{label}, op {i}");
+        assert_eq!(lowered.channels, noise.noise_for(op), "{label}, op {i}");
     }
     let twoq_depolarizing: Vec<_> = lowered
         .ops()
         .iter()
-        .filter_map(|op| match &op.depolarizing {
-            Some(AttachedChannel::Two { channel, .. }) => Some(channel),
-            _ => None,
+        .flat_map(|op| &op.channels)
+        .filter_map(|channel| match channel {
+            AttachedChannel::Two { channel, .. } => Some(channel),
+            AttachedChannel::One { .. } => None,
         })
         .collect();
     let shared = twoq_depolarizing
