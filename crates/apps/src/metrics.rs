@@ -126,7 +126,7 @@ pub fn success_rate(counts: &Counts, expected_outcome: usize) -> f64 {
 
 fn median(values: &[f64]) -> f64 {
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     if n % 2 == 1 {
         sorted[n / 2]

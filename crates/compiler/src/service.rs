@@ -305,25 +305,6 @@ impl Compiler {
         let mut report = stages.report;
         report.cache_hits = pass_stats.cache_hits;
         report.cache_misses = pass_stats.cache_misses;
-        if let Some(collector) = self.telemetry.as_ref().filter(|c| c.enabled()) {
-            // Per-compile deltas as counters; cache-lifetime totals (shared
-            // across compilers) as gauges.
-            collector
-                .counter("compiler.cache_hits")
-                .add(report.cache_hits as u64);
-            collector
-                .counter("compiler.cache_misses")
-                .add(report.cache_misses as u64);
-            collector
-                .gauge("compiler.cache_evictions")
-                .set(self.cache.evictions() as i64);
-            collector
-                .gauge("compiler.cache_contended_locks")
-                .set(self.cache.contended_locks() as i64);
-            collector
-                .gauge("compiler.cache_inflight_waits")
-                .set(self.cache.inflight_waits() as i64);
-        }
         Ok((
             CompiledCircuit {
                 circuit: decomposed,
@@ -474,8 +455,8 @@ impl CompilerBuilder {
 
     /// Attaches a telemetry collector: every compile records one span per
     /// stage (use [`Compiler::compile_with_report_in_span`] to parent them
-    /// under a job span) and folds decomposition-cache traffic into the
-    /// collector's registry. The default is no collector, which keeps the
+    /// under a job span) and nothing else; cache traffic is in the
+    /// [`CompileReport`]. The default is no collector, which keeps the
     /// pipeline allocation-free on the telemetry side.
     pub fn telemetry(mut self, collector: Arc<Collector>) -> Self {
         self.telemetry = Some(collector);
@@ -772,15 +753,6 @@ mod tests {
             let reported = report.stage_duration(span.name).unwrap();
             assert_eq!(reported.as_micros() as u64, span.duration_micros);
         }
-        // Cache traffic landed in the registry.
-        assert_eq!(
-            collector.counter("compiler.cache_misses").get(),
-            report.cache_misses as u64
-        );
-        assert_eq!(
-            collector.counter("compiler.cache_hits").get(),
-            report.cache_hits as u64
-        );
     }
 
     #[test]

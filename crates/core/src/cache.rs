@@ -166,8 +166,6 @@ pub struct DecompositionCache {
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
-    /// Shard-lock acquisitions that found the lock already held.
-    contended: AtomicUsize,
     /// Times a caller blocked on another thread's in-flight computation.
     inflight_waits: AtomicUsize,
 }
@@ -194,7 +192,6 @@ impl DecompositionCache {
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
-            contended: AtomicUsize::new(0),
             inflight_waits: AtomicUsize::new(0),
         }
     }
@@ -230,16 +227,9 @@ impl DecompositionCache {
         self.per_shard_capacity.map(|c| c * self.shards.len())
     }
 
-    /// Locks the shard holding `key`, counting the acquisition as contended
-    /// when the lock was already held — the observable that tells an
-    /// operator whether more shards would help.
+    /// Locks the shard holding `key`.
     fn lock_shard(&self, key: &CacheKey) -> parking_lot::MutexGuard<'_, Shard> {
-        let shard = &self.shards[key.shard_index(self.shards.len())];
-        if let Some(guard) = shard.try_lock() {
-            return guard;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        shard.lock()
+        self.shards[key.shard_index(self.shards.len())].lock()
     }
 
     fn peek(&self, key: &CacheKey) -> Option<CachedDecomposition> {
@@ -374,13 +364,6 @@ impl DecompositionCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Shard-lock acquisitions that had to wait behind another holder. High
-    /// values relative to hits+misses mean the shard count is too low for
-    /// the worker count.
-    pub fn contended_locks(&self) -> usize {
-        self.contended.load(Ordering::Relaxed)
-    }
-
     /// Times [`DecompositionCache::get_or_insert_with`] blocked on another
     /// thread's in-flight computation of the same key (deduplicated work).
     pub fn inflight_waits(&self) -> usize {
@@ -406,7 +389,6 @@ impl std::fmt::Debug for DecompositionCache {
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("evictions", &self.evictions())
-            .field("contended_locks", &self.contended_locks())
             .field("inflight_waits", &self.inflight_waits())
             .finish()
     }
@@ -541,7 +523,6 @@ mod tests {
         assert!(cache.get(&key).is_none());
         cache.insert(key.clone(), dummy_entry());
         assert!(cache.get(&key).is_some());
-        assert_eq!(cache.contended_locks(), 0);
         assert_eq!(cache.inflight_waits(), 0);
     }
 

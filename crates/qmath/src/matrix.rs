@@ -439,7 +439,7 @@ impl CMatrix {
             }
         }
         let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (a[i][i], i)).collect();
-        pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("non-NaN eigenvalues"));
+        pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
         let eigenvalues: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let mut vectors = CMatrix::zeros(n, n);
         for (new_col, &(_, old_col)) in pairs.iter().enumerate() {

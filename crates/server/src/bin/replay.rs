@@ -17,6 +17,8 @@
 //!
 //! `--telemetry on|off` controls whether the server run records spans and
 //! per-stage latency histograms (default: on in full mode, off in smoke).
+//! With telemetry on, the replay exits non-zero unless those histograms
+//! count every replayed request (see [`check_latency`]).
 //! `--trace <path>` writes the server's span ring buffer as Chrome Trace
 //! Event JSON (Perfetto-loadable) and implies `--telemetry on`.
 
@@ -28,7 +30,7 @@ use apps::workloads::{qaoa_circuit, qv_circuit};
 use compiler::{Compiler, CompilerOptions};
 use device::DeviceModel;
 use qmath::RngSeed;
-use server::{JobOp, JobRequest, JobServer, ServerError, WorkloadKind};
+use server::{JobOp, JobRequest, JobServer, MetricsSnapshot, ServerError, WorkloadKind};
 use sim::{ExecutionEngine, NoiseModel, SimJob};
 use telemetry::Collector;
 
@@ -264,7 +266,7 @@ fn run_server(
     device: &DeviceModel,
     requests: &[JobRequest],
     config: &Config,
-) -> (RunStats, String, bool) {
+) -> (RunStats, MetricsSnapshot, bool) {
     // The collector is always attached; it records only when --telemetry
     // resolves to on. The disabled path is a single atomic load per span
     // site, which is what the <2% overhead acceptance bound measures.
@@ -314,13 +316,42 @@ fn run_server(
     let total = started.elapsed();
 
     let probe_isolated = matches!(probe.wait(), Err(ServerError::Panicked { .. }));
-    let metrics_json = server.metrics_json();
+    let metrics = server.metrics();
     if let Some(path) = &config.trace {
         std::fs::write(path, server.trace_json()).expect("trace path probed at arg parse time");
         println!("wrote trace {path}");
     }
     server.shutdown();
-    (stats_from(latencies, total), metrics_json, probe_isolated)
+    (stats_from(latencies, total), metrics, probe_isolated)
+}
+
+/// Checks that the server's latency histograms count every replayed request:
+/// one `queue_wait`, `compile` and `tenant.*` sample per request and one
+/// `simulate` sample per simulate request (the panic probe records none).
+fn check_latency(latency: &[server::LatencyStats], requests: &[JobRequest]) -> Result<(), String> {
+    let simulated = requests
+        .iter()
+        .filter(|r| matches!(r.op, JobOp::Simulate { .. }))
+        .count();
+    let all = requests.len();
+    for (stage, expected) in [
+        ("queue_wait", all),
+        ("compile", all),
+        ("simulate", simulated),
+        ("tenant", all),
+    ] {
+        let counted: u64 = latency
+            .iter()
+            .filter(|s| s.stage.split('.').next() == Some(stage))
+            .map(|s| s.count)
+            .sum();
+        if counted != expected as u64 {
+            return Err(format!(
+                "latency stage {stage} counted {counted} samples, expected {expected}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -362,7 +393,7 @@ fn main() {
         warm.p99.as_secs_f64() * 1e6,
         warm.jobs_per_sec
     );
-    let (served, metrics_json, probe_isolated) = run_server(&device, &requests, &config);
+    let (served, metrics, probe_isolated) = run_server(&device, &requests, &config);
     println!(
         "server:       p50 {:>8.1} us  p99 {:>8.1} us  {:>6.1} jobs/s",
         served.p50.as_secs_f64() * 1e6,
@@ -374,6 +405,13 @@ fn main() {
     if !probe_isolated {
         eprintln!("replay: panic probe was NOT isolated");
         std::process::exit(1);
+    }
+    if config.telemetry {
+        if let Err(message) = check_latency(&metrics.latency, &requests) {
+            eprintln!("replay: {message}");
+            std::process::exit(1);
+        }
+        println!("latency histograms count every replayed request");
     }
     if config.smoke && speedup <= 1.0 {
         // In smoke mode the mix is tiny; warn but do not fail CI on noise.
@@ -390,7 +428,7 @@ fn main() {
             &served,
             speedup,
             probe_isolated,
-            &metrics_json,
+            &metrics.to_json(),
         );
         std::fs::write(path, json).expect("write benchmark output");
         println!("wrote {path}");
@@ -507,7 +545,50 @@ fn host_note(cpus: Option<usize>, workers: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{host_note, notes};
+    use super::{check_latency, host_note, notes};
+    use server::{JobOp, JobRequest, LatencyStats, WorkloadKind};
+
+    #[test]
+    fn latency_check_wants_every_request_counted() {
+        let request = |tenant: &str, op| JobRequest {
+            tenant: tenant.into(),
+            set: "S3".into(),
+            workload: WorkloadKind::Qv,
+            qubits: 3,
+            seed: 1,
+            op,
+            fusion: None,
+        };
+        let requests = [
+            request("a", JobOp::Compile),
+            request("a", JobOp::Simulate { shots: 8 }),
+            request("b", JobOp::Compile),
+        ];
+        let stage = |stage: &str, count| LatencyStats {
+            stage: stage.into(),
+            count,
+            p50_micros: 1,
+            p90_micros: 1,
+            p99_micros: 1,
+            max_micros: 1,
+        };
+        let complete = vec![
+            stage("compile", 3),
+            stage("queue_wait", 3),
+            stage("simulate", 1),
+            stage("tenant.a", 2),
+            stage("tenant.b", 1),
+        ];
+        assert_eq!(check_latency(&complete, &requests), Ok(()));
+        for missing in 0..complete.len() {
+            let mut short = complete.clone();
+            short.remove(missing);
+            let err = check_latency(&short, &requests).unwrap_err();
+            assert!(err.contains("expected"), "{err}");
+        }
+        // Telemetry off: nothing recorded, so every stage comes up short.
+        assert!(check_latency(&[], &requests).is_err());
+    }
 
     #[test]
     fn host_note_follows_the_cpus_and_workers() {

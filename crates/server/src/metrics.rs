@@ -4,10 +4,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use sim::FusionPolicy;
+use telemetry::Histogram;
 
-/// Monotonic counters updated by the admission path and the workers. All
-/// updates are relaxed atomics: metrics tolerate being a moment stale, they
-/// must never contend with the jobs they measure.
+/// Monotonic counters and latency histograms updated by the admission path
+/// and the workers. All updates are relaxed atomics: metrics tolerate being a
+/// moment stale, they must never contend with the jobs they measure.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     pub(crate) submitted: AtomicUsize,
@@ -26,6 +27,11 @@ pub struct ServerMetrics {
     pub(crate) verify_last_error_span: AtomicU64,
     /// Simulate jobs per fusion policy, indexed by [`fusion_index`].
     pub(crate) sim_by_fusion: [AtomicUsize; 3],
+    /// Latency (µs) of queue wait, the compile stage and the simulate phase;
+    /// unlike the `_nanos` sums, recorded only while the collector is enabled.
+    pub(crate) queue_wait: Histogram,
+    pub(crate) compile: Histogram,
+    pub(crate) simulate: Histogram,
 }
 
 /// Stable index of a fusion policy in the per-policy counter arrays.
@@ -72,6 +78,38 @@ impl ServerMetrics {
             self.verify_last_error_span.store(span, Ordering::Relaxed);
         }
     }
+
+    /// Summarises the stage histograms and the `(tenant, histogram)` pairs that
+    /// hold a sample, sorted by stage name (`tenant.<name>` for a tenant).
+    pub(crate) fn latency_stats<'a>(
+        &'a self,
+        tenants: impl IntoIterator<Item = (&'a str, &'a Histogram)>,
+    ) -> Vec<LatencyStats> {
+        let stages = [
+            ("queue_wait", &self.queue_wait),
+            ("compile", &self.compile),
+            ("simulate", &self.simulate),
+        ]
+        .map(|(stage, histogram)| (stage.to_string(), histogram));
+        let tenants = tenants
+            .into_iter()
+            .map(|(tenant, histogram)| (format!("tenant.{tenant}"), histogram));
+        let mut stats: Vec<LatencyStats> = stages
+            .into_iter()
+            .chain(tenants)
+            .filter(|(_, histogram)| histogram.count() > 0)
+            .map(|(stage, histogram)| LatencyStats {
+                stage,
+                count: histogram.count(),
+                p50_micros: histogram.p50(),
+                p90_micros: histogram.p90(),
+                p99_micros: histogram.p99(),
+                max_micros: histogram.max(),
+            })
+            .collect();
+        stats.sort_by(|a, b| a.stage.cmp(&b.stage));
+        stats
+    }
 }
 
 /// Cache statistics of one tenant namespace.
@@ -101,9 +139,9 @@ impl TenantCacheStats {
     }
 }
 
-/// Latency distribution of one pipeline stage, summarised from the
-/// telemetry registry's log-bucketed histogram for that stage. All values
-/// are microseconds except `count`.
+/// Latency distribution of one pipeline stage, summarised from the server's
+/// log-bucketed histogram for that stage. All values are microseconds except
+/// `count`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Stage name (`queue_wait`, `compile`, `simulate`, `tenant.<name>`).
@@ -118,28 +156,6 @@ pub struct LatencyStats {
     pub p99_micros: u64,
     /// Largest recorded sample, µs.
     pub max_micros: u64,
-}
-
-/// Summarises every `latency.*` histogram in a telemetry registry, sorted by
-/// stage name. Returns an empty list when the server runs without telemetry.
-pub(crate) fn latency_stats(registry: &telemetry::Registry) -> Vec<LatencyStats> {
-    let mut stats: Vec<LatencyStats> = registry
-        .histograms()
-        .into_iter()
-        .filter_map(|(name, histogram)| {
-            let stage = name.strip_prefix("latency.")?;
-            Some(LatencyStats {
-                stage: stage.to_string(),
-                count: histogram.count(),
-                p50_micros: histogram.p50(),
-                p90_micros: histogram.p90(),
-                p99_micros: histogram.p99(),
-                max_micros: histogram.max(),
-            })
-        })
-        .collect();
-    stats.sort_by(|a, b| a.stage.cmp(&b.stage));
-    stats
 }
 
 /// A point-in-time copy of every server counter — what the metrics endpoint
@@ -183,7 +199,7 @@ pub struct MetricsSnapshot {
     pub verify_last_error_span: u64,
     /// Jobs claimed by work-stealing rather than a worker's own deque.
     pub queue_steals: u64,
-    /// Per-stage latency distributions from the telemetry registry, sorted
+    /// Per-stage latency distributions from the server's histograms, sorted
     /// by stage name; empty when the server runs without telemetry.
     pub latency: Vec<LatencyStats>,
     /// Per-tenant decomposition-cache statistics, sorted by tenant name.
@@ -356,12 +372,12 @@ mod tests {
 
     #[test]
     fn latency_stats_summarise_only_latency_histograms() {
-        let registry = telemetry::Registry::new();
-        registry.histogram("latency.simulate").record(100);
-        registry.histogram("latency.compile").record(10);
-        registry.histogram("latency.compile").record(20);
-        registry.histogram("engine.shots").record(999); // not a latency stage
-        let stats = latency_stats(&registry);
+        let metrics = ServerMetrics::default();
+        metrics.simulate.record(100);
+        metrics.compile.record(10);
+        metrics.compile.record(20);
+        let idle = Histogram::new(); // a tenant without a sample
+        let stats = metrics.latency_stats([("idle", &idle)]);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].stage, "compile");
         assert_eq!(stats[0].count, 2);
@@ -372,19 +388,104 @@ mod tests {
 
     #[test]
     fn latency_json_renders_per_stage_quantiles() {
-        let registry = telemetry::Registry::new();
-        for v in [10, 20, 40, 80] {
-            registry.histogram("latency.queue_wait").record(v);
-        }
         let metrics = ServerMetrics::default();
+        for v in [10, 20, 40, 80] {
+            metrics.queue_wait.record(v);
+        }
         let snap =
-            MetricsSnapshot::from_counters(&metrics, 0, 1, 3, latency_stats(&registry), vec![]);
+            MetricsSnapshot::from_counters(&metrics, 0, 1, 3, metrics.latency_stats([]), vec![]);
         assert_eq!(snap.queue_steals, 3);
         let json = snap.to_json();
         assert!(json.contains("\"queue_wait\": {\"count\": 4"));
         assert!(json.contains("\"p50_micros\":"));
         assert!(json.contains("\"p99_micros\":"));
         assert!(json.contains("\"queue_steals\": 3"));
+    }
+
+    /// `to_json()` of the fixed samples below, recorded when the latency
+    /// histograms still lived in the telemetry registry.
+    const PINNED_JSON: &str = r#"{
+  "submitted": 9,
+  "rejected": 1,
+  "completed": 6,
+  "failed": 1,
+  "panicked": 1,
+  "queue_depth": 1,
+  "workers": 2,
+  "shots_total": 4096,
+  "sim_fusion_off": 1,
+  "sim_fusion_safe": 2,
+  "sim_fusion_aggressive": 3,
+  "compile_micros": 12345,
+  "simulate_micros": 98765,
+  "verify_errors": 2,
+  "verify_warnings": 3,
+  "verify_last_error_span": 42,
+  "queue_steals": 5,
+  "latency": {
+    "compile": {"count": 3, "p50_micros": 255, "p90_micros": 4100, "p99_micros": 4100, "max_micros": 4100},
+    "queue_wait": {"count": 4, "p50_micros": 15, "p90_micros": 900, "p99_micros": 900, "max_micros": 900},
+    "simulate": {"count": 1, "p50_micros": 1700, "p90_micros": 1700, "p99_micros": 1700, "max_micros": 1700},
+    "tenant.alpha": {"count": 3, "p50_micros": 511, "p90_micros": 5000, "p99_micros": 5000, "max_micros": 5000},
+    "tenant.beta": {"count": 1, "p50_micros": 77, "p90_micros": 77, "p99_micros": 77, "max_micros": 77}
+  },
+  "tenants": [
+    {"tenant": "alpha", "entries": 3, "hits": 7, "misses": 3, "evictions": 0, "hit_rate": 0.7000},
+    {"tenant": "beta", "entries": 1, "hits": 0, "misses": 1, "evictions": 0, "hit_rate": 0.0000}
+  ]
+}"#;
+
+    #[test]
+    fn snapshot_json_bytes_are_pinned_over_fixed_samples() {
+        // Fixed samples for the three stages and two tenants.
+        let metrics = ServerMetrics::default();
+        let (alpha, beta) = (Histogram::new(), Histogram::new());
+        for v in [3, 40, 900, 12] {
+            metrics.queue_wait.record(v);
+        }
+        for v in [120, 250, 4_100] {
+            metrics.compile.record(v);
+        }
+        metrics.simulate.record(1_700);
+        for v in [200, 5_000, 333] {
+            alpha.record(v);
+        }
+        beta.record(77);
+        let latency = metrics.latency_stats([("alpha", &alpha), ("beta", &beta)]);
+        for (counter, value) in [
+            (&metrics.submitted, 9),
+            (&metrics.rejected, 1),
+            (&metrics.completed, 6),
+            (&metrics.failed, 1),
+            (&metrics.panicked, 1),
+            (&metrics.shots_total, 4_096),
+            (&metrics.sim_by_fusion[0], 1),
+            (&metrics.sim_by_fusion[1], 2),
+            (&metrics.sim_by_fusion[2], 3),
+            (&metrics.verify_errors, 2),
+            (&metrics.verify_warnings, 3),
+        ] {
+            counter.store(value, Ordering::Relaxed);
+        }
+        metrics.compile_nanos.store(12_345_678, Ordering::Relaxed);
+        metrics.simulate_nanos.store(98_765_432, Ordering::Relaxed);
+        metrics.verify_last_error_span.store(42, Ordering::Relaxed);
+        let tenant = |name: &str, entries, hits, misses| TenantCacheStats {
+            tenant: name.into(),
+            entries,
+            hits,
+            misses,
+            evictions: 0,
+        };
+        let snap = MetricsSnapshot::from_counters(
+            &metrics,
+            1,
+            2,
+            5,
+            latency,
+            vec![tenant("beta", 1, 0, 1), tenant("alpha", 3, 7, 3)],
+        );
+        assert_eq!(snap.to_json(), PINNED_JSON);
     }
 
     #[test]

@@ -6,19 +6,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use apps::workloads::{qaoa_circuit, qv_circuit};
-use compiler::{Compiler, CompilerOptions};
+use compiler::{CompileError, Compiler, CompilerOptions};
 use device::DeviceModel;
 use nuop_core::DecompositionCache;
 use parking_lot::Mutex;
 use qmath::RngSeed;
 use sim::{ExecutionEngine, NoiseModel, SimJob};
-use telemetry::{Collector, Span, SpanId};
+use telemetry::{Collector, Histogram, Span, SpanId};
 
 use crate::error::ServerError;
-use crate::metrics::{latency_stats, MetricsSnapshot, ServerMetrics, TenantCacheStats};
+use crate::metrics::{MetricsSnapshot, ServerMetrics, TenantCacheStats};
 use crate::queue::{Scheduler, SubmitError};
 use crate::wire::{JobOp, JobRequest, JobResponse, SimSummary, WorkloadKind};
 
@@ -59,6 +59,9 @@ impl std::error::Error for ServerConfigError {}
 struct Tenant {
     cache: Arc<DecompositionCache>,
     compilers: Mutex<HashMap<String, Arc<Compiler>>>,
+    /// Admission to response of each successful job, µs, recorded while the
+    /// server's collector is attached and enabled.
+    latency: Histogram,
 }
 
 impl Tenant {
@@ -66,6 +69,7 @@ impl Tenant {
         Tenant {
             cache: Arc::new(DecompositionCache::with_capacity(cache_capacity)),
             compilers: Mutex::new(HashMap::new()),
+            latency: Histogram::new(),
         }
     }
 }
@@ -118,14 +122,11 @@ impl Shared {
         Ok(compiler)
     }
 
-    /// Records `elapsed` into the registry histogram `latency.<stage>`, in
-    /// microseconds. A no-op without an enabled collector.
-    fn record_latency(&self, stage: &str, elapsed: std::time::Duration) {
-        if let Some(collector) = self.collector.as_ref().filter(|c| c.enabled()) {
-            collector
-                .registry()
-                .histogram(&format!("latency.{stage}"))
-                .record(elapsed.as_micros() as u64);
+    /// Records `elapsed` into `histogram`, in microseconds. A no-op without
+    /// an attached, enabled collector.
+    fn record_latency(&self, histogram: &Histogram, elapsed: Duration) {
+        if self.collector.as_ref().is_some_and(|c| c.enabled()) {
+            histogram.record(elapsed.as_micros() as u64);
         }
     }
 
@@ -149,10 +150,20 @@ impl Shared {
             );
         }
         let queue_wait = Span::enter_at(collector, "queue_wait", job_id, admitted).finish();
-        self.record_latency("queue_wait", queue_wait);
+        self.record_latency(&self.metrics.queue_wait, queue_wait);
 
         let tenant = self.tenant(&request.tenant);
         let compiler = self.compiler_for(&tenant, &request.set)?;
+        // The compile returns this error too, but only after generating the
+        // circuit, and a QAOA graph lists all n(n-1)/2 candidate edges first:
+        // a huge `n` exhausts memory, which no `catch_unwind` can contain.
+        let available = self.device.num_qubits();
+        if request.qubits > available {
+            return Err(ServerError::Compile(CompileError::RegionUnavailable {
+                requested: request.qubits,
+                available,
+            }));
+        }
         let circuit = match request.workload {
             WorkloadKind::Qv => qv_circuit(request.qubits, RngSeed(request.seed)),
             WorkloadKind::Qaoa => qaoa_circuit(request.qubits, RngSeed(request.seed)),
@@ -162,7 +173,7 @@ impl Shared {
             compiler.compile_with_report_in_span(&circuit, compile_span.id())?;
         let compile_elapsed = compile_span.finish();
         self.metrics.record_compile(compile_elapsed);
-        self.record_latency("compile", compile_elapsed);
+        self.record_latency(&self.metrics.compile, compile_elapsed);
         if self.validate {
             // Validate-before-run: prove the compiled artifact legal (coupling,
             // gate set, layouts) before any shot executes. Findings feed the
@@ -196,7 +207,7 @@ impl Shared {
                 // simulate latency histogram.
                 self.metrics
                     .record_simulate(result.report.simulate, shots, fusion);
-                self.record_latency("simulate", result.report.simulate);
+                self.record_latency(&self.metrics.simulate, result.report.simulate);
                 if self.validate {
                     let diagnostics: Vec<_> = result
                         .diagnostics
@@ -216,7 +227,7 @@ impl Shared {
         };
 
         let total = job_span.finish();
-        self.record_latency(&format!("tenant.{}", request.tenant), total);
+        self.record_latency(&tenant.latency, total);
 
         Ok(JobResponse {
             tenant: request.tenant.clone(),
@@ -387,10 +398,8 @@ impl JobServer {
     /// A point-in-time snapshot of every server counter, including
     /// per-tenant cache statistics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let tenants = self
-            .shared
-            .tenants
-            .lock()
+        let tenant_map = self.shared.tenants.lock();
+        let tenants = tenant_map
             .iter()
             .map(|(name, tenant)| TenantCacheStats {
                 tenant: name.clone(),
@@ -400,10 +409,11 @@ impl JobServer {
                 evictions: tenant.cache.evictions(),
             })
             .collect();
-        let latency = match &self.shared.collector {
-            Some(collector) => latency_stats(collector.registry()),
-            None => Vec::new(),
-        };
+        let latency = self.shared.metrics.latency_stats(
+            tenant_map
+                .iter()
+                .map(|(name, tenant)| (name.as_str(), &tenant.latency)),
+        );
         MetricsSnapshot::from_counters(
             &self.shared.metrics,
             self.shared.scheduler.len(),
@@ -479,9 +489,10 @@ fn validate(request: &JobRequest) -> Result<(), ServerError> {
             reason: format!("tenant must not contain {c:?}"),
         });
     }
-    if request.qubits == 0 {
+    // Both workload generators need a pair of qubits to entangle.
+    if request.qubits < 2 {
         return Err(ServerError::InvalidRequest {
-            reason: "qubits must be positive".into(),
+            reason: format!("qubits must be at least 2 (got {})", request.qubits),
         });
     }
     match request.op {
@@ -585,8 +596,9 @@ impl ServerBuilder {
 
     /// Attaches a telemetry collector (default none). The collector is
     /// shared with every per-tenant compiler and the engine, so
-    /// one trace carries the full job → stage → shard span tree, and
-    /// [`JobServer::metrics_json`] grows per-stage latency histograms.
+    /// one trace carries the full job → stage → shard span tree. While it is
+    /// enabled, the server's own per-stage and per-tenant latency histograms
+    /// record too, and [`JobServer::metrics_json`] reports them.
     /// Telemetry costs nothing until [`Collector::set_enabled`] turns the
     /// collector on.
     pub fn telemetry(mut self, collector: Arc<Collector>) -> Self {
@@ -899,6 +911,171 @@ mod tests {
         assert!(server.metrics().latency.is_empty());
         assert_eq!(server.trace_json(), "{\"traceEvents\":[]}");
         assert!(server.metrics_json().contains("\"latency\": {}"));
+    }
+
+    #[test]
+    fn traced_latency_lists_only_the_stages_that_recorded() {
+        let server = JobServer::builder(DeviceModel::ideal(3, 0.99))
+            .workers(1)
+            .options(CompilerOptions::sweep())
+            .telemetry(Arc::new(Collector::new()))
+            .build()
+            .unwrap();
+        let compile = server.submit_request(compile_request("a", 1)).unwrap();
+        let simulate = server
+            .submit_request(JobRequest {
+                op: JobOp::Simulate { shots: 16 },
+                ..compile_request("a", 2)
+            })
+            .unwrap();
+        let unknown_set = server
+            .submit_request(JobRequest {
+                set: "G99".into(),
+                ..compile_request("b", 1)
+            })
+            .unwrap();
+        compile.wait().unwrap();
+        simulate.wait().unwrap();
+        assert!(matches!(unknown_set.wait(), Err(ServerError::Compile(_))));
+
+        // The failed job waited in the queue but recorded no tenant latency,
+        // though its tenant's namespace exists.
+        let metrics = server.metrics();
+        let stages: Vec<(&str, u64)> = metrics
+            .latency
+            .iter()
+            .map(|s| (s.stage.as_str(), s.count))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                ("compile", 2),
+                ("queue_wait", 3),
+                ("simulate", 1),
+                ("tenant.a", 2)
+            ]
+        );
+        assert_eq!(metrics.tenants.len(), 2);
+    }
+
+    #[test]
+    fn disabled_collector_serves_empty_latency() {
+        let server = JobServer::builder(DeviceModel::ideal(3, 0.99))
+            .workers(1)
+            .options(CompilerOptions::sweep())
+            .telemetry(Arc::new(Collector::disabled()))
+            .build()
+            .unwrap();
+        server
+            .submit_request(JobRequest {
+                op: JobOp::Simulate { shots: 16 },
+                ..compile_request("t", 1)
+            })
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(server.metrics().latency.is_empty());
+        assert!(server.metrics_json().contains("\"latency\": {}"));
+    }
+
+    #[test]
+    fn servers_sharing_a_collector_report_only_their_own_latency() {
+        let collector = Arc::new(Collector::new());
+        let build = || {
+            JobServer::builder(DeviceModel::ideal(3, 0.99))
+                .workers(1)
+                .options(CompilerOptions::sweep())
+                .telemetry(Arc::clone(&collector))
+                .build()
+                .unwrap()
+        };
+        let (first, second) = (build(), build());
+        first
+            .submit_request(compile_request("t", 1))
+            .unwrap()
+            .wait()
+            .unwrap();
+        for seed in [1, 2] {
+            second
+                .submit_request(compile_request("t", seed))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        let count = |server: &JobServer, stage: &str| {
+            server
+                .metrics()
+                .latency
+                .iter()
+                .find(|s| s.stage == stage)
+                .map(|s| s.count)
+        };
+        for stage in ["compile", "queue_wait", "tenant.t"] {
+            assert_eq!(count(&first, stage), Some(1), "{stage}");
+            assert_eq!(count(&second, stage), Some(2), "{stage}");
+        }
+        // Both servers' spans still land in the one trace.
+        let jobs = collector
+            .completed_spans()
+            .iter()
+            .filter(|s| s.name == "job")
+            .count();
+        assert_eq!(jobs, 3);
+    }
+
+    #[test]
+    fn one_qubit_requests_are_invalid_not_panics() {
+        let server = test_server(1);
+        for workload in [WorkloadKind::Qv, WorkloadKind::Qaoa] {
+            let request = JobRequest {
+                workload,
+                qubits: 1,
+                ..compile_request("w", 1)
+            };
+            let wire = request.encode();
+            for err in [
+                server.submit_request(request).err(),
+                server.submit_wire(&wire).err(),
+            ] {
+                assert!(
+                    matches!(&err, Some(ServerError::InvalidRequest { reason }) if reason.contains("qubits")),
+                    "{workload:?}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(server.metrics().panicked, 0);
+    }
+
+    #[test]
+    fn requests_wider_than_the_device_fail_before_generating_a_circuit() {
+        // A million-qubit QAOA request would list about 5e11 candidate edges
+        // before the compile could reject it.
+        let server = test_server(1);
+        let unavailable = Err(ServerError::Compile(CompileError::RegionUnavailable {
+            requested: 1_000_000,
+            available: 3,
+        }));
+        for workload in [WorkloadKind::Qv, WorkloadKind::Qaoa] {
+            let request = JobRequest {
+                workload,
+                qubits: 1_000_000,
+                ..compile_request("w", 1)
+            };
+            let wire = request.encode();
+            assert_eq!(server.submit_request(request).unwrap().wait(), unavailable);
+            assert_eq!(server.submit_wire(&wire).unwrap().wait(), unavailable);
+        }
+        // The worker survived and serves a normal job.
+        assert!(server
+            .submit_request(compile_request("w", 2))
+            .unwrap()
+            .wait()
+            .is_ok());
+        let metrics = server.metrics();
+        assert_eq!(
+            (metrics.failed, metrics.panicked, metrics.completed),
+            (4, 0, 1)
+        );
     }
 
     #[test]

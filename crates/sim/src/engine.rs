@@ -319,10 +319,10 @@ impl EngineBuilder {
 
     /// Attaches a telemetry collector: each job records precompile and
     /// simulate spans (with qubit count, fused-op and regime attributes) and
-    /// one span per shot shard, plus latency histograms in the collector's
-    /// registry. Use [`ExecutionEngine::run_job_in_span`] to parent the
-    /// spans under a caller's job span. Default: no collector — the engine
-    /// stays telemetry-free at zero cost.
+    /// one span per shot shard, and nothing else; timings and shot counts are
+    /// in the [`EngineReport`]. Use [`ExecutionEngine::run_job_in_span`] to
+    /// parent the spans under a caller's job span. Default: no collector —
+    /// the engine stays telemetry-free at zero cost.
     pub fn telemetry(mut self, collector: Arc<Collector>) -> Self {
         self.telemetry = Some(collector);
         self
@@ -591,15 +591,6 @@ impl ExecutionEngine {
         span.set_attr("fused_ops", pre.fused_ops() as u64);
         let (counts, shards, threads) = self.sample_shots(pre, shots, seed, cache, &mut span);
         let simulate = span.finish();
-        if let Some(collector) = self.telemetry.as_ref().filter(|c| c.enabled()) {
-            collector
-                .histogram("engine.precompile_micros")
-                .record(precompile.as_micros() as u64);
-            collector
-                .histogram("engine.simulate_micros")
-                .record(simulate.as_micros() as u64);
-            collector.counter("engine.shots").add(shots as u64);
-        }
         SimResult {
             counts,
             report: EngineReport {
@@ -1005,8 +996,6 @@ mod tests {
             result.report.simulate.as_micros() as u64,
             simulate[0].duration_micros
         );
-        assert_eq!(collector.counter("engine.shots").get(), 200);
-        assert_eq!(collector.histogram("engine.simulate_micros").count(), 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Exact analytic constructions of common application unitaries from the CZ
 //! gate.
 //!
-//! These are the textbook identities an analytic compiler hard-codes. They are
-//! used by tests (to cross-check NuOp's numerically found decompositions) and
-//! by the compiler crate as a deterministic fallback for routing SWAPs when no
-//! native SWAP gate exists.
+//! These are the textbook identities an analytic compiler hard-codes. Only
+//! this module's own tests call them, checking each construction against the
+//! target gate's matrix. The compiler does not use them (it has no `synth`
+//! dependency): NuOp decomposes routing SWAPs like every other two-qubit
+//! gate.
 
 use circuit::{Circuit, Operation, QubitId};
 use std::f64::consts::{FRAC_PI_2, PI};

@@ -19,8 +19,9 @@
 //!   Cirq-v0.8-style compiler for the hardware gate types studied in the paper
 //!   (CZ, SYC, iSWAP, √iSWAP), used as the Fig. 6 baseline.
 //! * [`analytic`] — explicit, exact constructions of common application
-//!   unitaries (CNOT, SWAP, ZZ(β), CPHASE(φ)) from the CZ gate, used by tests
-//!   and by the compiler's fallback paths.
+//!   unitaries (CNOT, SWAP, ZZ(β), CPHASE(φ)) from the CZ gate. Nothing
+//!   outside this crate calls them; their own tests check each against the
+//!   target gate's matrix.
 
 #![warn(missing_docs)]
 

@@ -7,10 +7,10 @@
 //!   shard spans to the job span that spawned them without thread-local
 //!   magic. A guard created against a disabled (or absent) [`Collector`]
 //!   costs one `Instant::now()` and allocates nothing.
-//! * **A metrics [`Registry`]** of [`Counter`]s, [`Gauge`]s and log-bucketed
-//!   latency [`Histogram`]s with p50/p90/p99 quantile estimation. All
-//!   recording is relaxed atomics; registration is a lock + map lookup and
-//!   belongs outside per-shot loops.
+//! * **A log-bucketed latency [`Histogram`]** with p50/p90/p99 quantile
+//!   estimation. Recording is relaxed atomics. The crate keeps no store of
+//!   named metrics: a histogram lives as a typed field of whatever owns it
+//!   (the job server keeps one per stage and one per tenant).
 //! * **One exporter** ([`export::trace_json`]): Chrome Trace Event Format
 //!   (load the file in <https://ui.perfetto.dev> or `chrome://tracing` for a
 //!   flamegraph of one run).
@@ -38,18 +38,16 @@
 //! assert_eq!(spans[0].parent, spans[1].id);
 //! ```
 //!
-//! # Metrics
+//! # Histograms
 //!
 //! ```
-//! use telemetry::Collector;
+//! use telemetry::Histogram;
 //!
-//! let collector = Collector::new();
-//! collector.counter("cache_hits").add(3);
-//! let latency = collector.histogram("compile_micros");
+//! let latency = Histogram::new();
 //! for micros in [100, 200, 400, 800] {
 //!     latency.record(micros);
 //! }
-//! assert_eq!(collector.counter("cache_hits").get(), 3);
+//! assert_eq!(latency.count(), 4);
 //! // Quantile estimates are exact to within one log2 bucket.
 //! assert!(latency.quantile(0.5) >= 128 && latency.quantile(0.5) <= 255);
 //! ```
@@ -67,5 +65,5 @@ pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::Histogram;
 pub use span::{AttrValue, Collector, Span, SpanGuard, SpanId};

@@ -1,60 +1,10 @@
-//! Counters, gauges and log-bucketed latency histograms.
+//! Log-bucketed latency histograms.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets: one for zero plus one per power of two up to
 /// `u64::MAX`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A monotonically increasing counter (relaxed atomics throughout).
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins signed gauge (queue depths, in-flight counts).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// Index of the log2 bucket covering `value`: bucket 0 holds exactly zero,
 /// bucket `i >= 1` holds `[2^(i-1), 2^i - 1]`.
@@ -122,7 +72,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of recorded observations (saturating only at `u64` overflow).
+    /// Sum of recorded observations (wraps on `u64` overflow).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -172,66 +122,6 @@ impl Histogram {
     }
 }
 
-/// A named collection of metrics. Lookup (`counter`/`gauge`/`histogram`)
-/// takes a short lock and interns the name on first use; the returned `Arc`
-/// can be cached by hot paths so steady-state recording never touches the
-/// registry lock.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
-        if let Some(existing) = map.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(Counter::default());
-        map.insert(name.to_string(), Arc::clone(&created));
-        created
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
-        if let Some(existing) = map.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(Gauge::default());
-        map.insert(name.to_string(), Arc::clone(&created));
-        created
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
-        if let Some(existing) = map.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(Histogram::default());
-        map.insert(name.to_string(), Arc::clone(&created));
-        created
-    }
-
-    /// Name + handle of every registered histogram, sorted by name.
-    pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.histograms
-            .lock()
-            .iter()
-            .map(|(name, histogram)| (name.clone(), Arc::clone(histogram)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,15 +155,5 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean(), 0);
-    }
-
-    #[test]
-    fn registry_interns_by_name() {
-        let registry = Registry::new();
-        registry.counter("hits").add(2);
-        registry.counter("hits").inc();
-        assert_eq!(registry.counter("hits").get(), 3);
-        registry.gauge("depth").set(-4);
-        assert_eq!(registry.gauge("depth").get(), -4);
     }
 }

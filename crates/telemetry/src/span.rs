@@ -7,8 +7,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
-
 /// Default bound of the completed-span ring buffer.
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
@@ -201,19 +199,18 @@ pub fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// Thread-safe store for completed spans plus a metrics [`Registry`].
+/// Thread-safe store for completed spans.
 ///
 /// Cheap to share (`Arc<Collector>`); every recording path first checks the
 /// `enabled` atomic, so a disabled collector can be wired through the whole
 /// stack at near-zero cost. Completed spans live in a bounded ring buffer
-/// (oldest evicted first) sized at construction.
+/// (oldest evicted first) sized at construction. It stores no metrics.
 pub struct Collector {
     enabled: AtomicBool,
     next_id: AtomicU64,
     epoch: Instant,
     capacity: usize,
     spans: Mutex<VecDeque<Span>>,
-    registry: Registry,
 }
 
 impl Default for Collector {
@@ -238,7 +235,6 @@ impl Collector {
             epoch: Instant::now(),
             capacity: capacity.max(1),
             spans: Mutex::new(VecDeque::new()),
-            registry: Registry::new(),
         }
     }
 
@@ -295,26 +291,6 @@ impl Collector {
     /// Removes and returns every completed span, oldest first.
     pub fn drain_spans(&self) -> Vec<Span> {
         self.spans.lock().drain(..).collect()
-    }
-
-    /// The metrics registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Shorthand for [`Registry::counter`].
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.registry.counter(name)
-    }
-
-    /// Shorthand for [`Registry::gauge`].
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.registry.gauge(name)
-    }
-
-    /// Shorthand for [`Registry::histogram`].
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(name)
     }
 }
 
